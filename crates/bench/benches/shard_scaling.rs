@@ -121,11 +121,10 @@ fn run_sharded(n: usize, trial: usize) -> ShardedResult {
                 .shard("tableA", 0)
                 .shard("tableB", 0),
         ),
-        // The streaming scheduler is the shard plane's production delivery
-        // path: exchange deltas coalesce into multi-delta envelopes and every
-        // delta applies through the seeded snapshot-free transaction.  The
-        // per-envelope path re-runs a full O(database) fixpoint per delivered
-        // tuple, which measures the seed executor, not the shard plane.
+        // Default knobs, pinned so the environment cannot change the
+        // measured schedule: exchange deltas coalesce into multi-delta
+        // envelopes and every delta applies through the seeded
+        // snapshot-free transaction.
         streaming: StreamingConfig::with_knobs(64, 256),
         durability: Some(DurabilityConfig::new(&dir)),
         ..DeploymentConfig::default()

@@ -1,6 +1,5 @@
-//! Streaming-scheduler throughput: sustained update-stream deltas applied
-//! per second, per-envelope baseline vs the batching/backpressure scheduler,
-//! at 6 / 18 / 36 nodes.
+//! Update-stream throughput: sustained deltas applied per second through
+//! the streaming scheduler at its default knobs, at 6 / 18 / 36 nodes.
 //!
 //! The workload is a gossip flood on a ring: every node exports its own
 //! `link` facts *and everything it has heard* to every other principal, so
@@ -8,14 +7,17 @@
 //! `n·(n-1)` directed pairs exactly once — `O(n²)` signed deltas riding many
 //! small cascading transactions, the exact shape the per-link outbox was
 //! built to coalesce.  The app is deterministic (no existentials, no
-//! functional dependencies), so both modes must converge to bit-identical
-//! relations; the bench asserts that before reporting throughput.
+//! functional dependencies), so its fixpoint has a closed form: every node
+//! holds its own two links, all `2n` ring links as `remote_link`, and
+//! `4n(n-1)` `says$remote_link` rows (`2n` links said to and heard from each
+//! of the `n-1` peers).  The bench asserts that state before reporting
+//! throughput.
 //!
 //! Writes `BENCH_stream_throughput.json` (to `SECUREBLOX_BENCH_DIR` or the
 //! working directory) with updates/sec and p50/p99 update-apply latency per
-//! node count for both modes — CI's regression gate compares the streaming
-//! updates/sec against the committed artifact.  `CRITERION_QUICK=1` runs the
-//! 6-node point only and tags the report so the gate skips it.
+//! node count — CI's regression gate compares the streaming updates/sec
+//! against the committed artifact.  `CRITERION_QUICK=1` runs the 6-node
+//! point only and tags the report so the gate skips it.
 
 use secureblox::policy::SecurityConfig;
 use secureblox::runtime::{Deployment, DeploymentConfig, NodeSpec, StreamingConfig};
@@ -52,20 +54,59 @@ fn ring_specs(n: usize) -> Vec<NodeSpec> {
         .collect()
 }
 
-struct ModeResult {
+struct RunResult {
     wall: Duration,
     updates: usize,
     apply_p50: Duration,
     apply_p99: Duration,
-    /// Sorted serialization of every node's final relations.
-    state: Vec<Vec<u8>>,
 }
 
-fn run_mode(n: usize, label: &str, streaming: StreamingConfig) -> ModeResult {
-    eprintln!("stream_throughput: n={n} {label} ...");
+fn link(a: usize, b: usize) -> Vec<Value> {
+    vec![Value::str(principal(a)), Value::str(principal(b))]
+}
+
+fn sorted(tuples: Vec<Vec<Value>>) -> Vec<Vec<u8>> {
+    let mut bytes: Vec<Vec<u8>> = tuples.iter().map(|t| serialize_tuple(t)).collect();
+    bytes.sort();
+    bytes
+}
+
+/// Check node `i`'s final relations against the ring gossip's closed form.
+fn assert_closed_form(deployment: &Deployment, n: usize, i: usize) {
+    let p = principal(i);
+    let ring: Vec<Vec<Value>> = (0..n)
+        .flat_map(|a| [link(a, (a + 1) % n), link(a, (a + n - 1) % n)])
+        .collect();
+    let own = vec![link(i, (i + 1) % n), link(i, (i + n - 1) % n)];
+    let mut says = Vec::new();
+    for peer in (0..n).filter(|&peer| peer != i) {
+        for l in &ring {
+            for (from, to) in [(i, peer), (peer, i)] {
+                let mut tuple = link(from, to);
+                tuple.extend(l.iter().cloned());
+                says.push(tuple);
+            }
+        }
+    }
+    for (pred, expected) in [
+        ("link", own),
+        ("remote_link", ring),
+        ("says$remote_link", says),
+    ] {
+        assert_eq!(
+            sorted(deployment.query(&p, pred)),
+            sorted(expected),
+            "{p}/{pred} diverged from the ring gossip closed form at {n} nodes"
+        );
+    }
+}
+
+fn run(n: usize) -> RunResult {
+    eprintln!("stream_throughput: n={n} ...");
     let config = DeploymentConfig {
         security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-        streaming,
+        // The shipped knobs, whatever `SECUREBLOX_BATCH_MAX` says.
+        streaming: StreamingConfig::default(),
         ..DeploymentConfig::default()
     };
     let mut deployment =
@@ -75,39 +116,29 @@ fn run_mode(n: usize, label: &str, streaming: StreamingConfig) -> ModeResult {
     let wall = start.elapsed();
 
     let mut updates = 0usize;
-    let mut state = Vec::new();
     for i in 0..n {
-        let p = principal(i);
-        updates += deployment.query(&p, "says$remote_link").len();
-        for pred in ["link", "remote_link", "says$remote_link"] {
-            let mut tuples: Vec<Vec<u8>> = deployment
-                .query(&p, pred)
-                .iter()
-                .map(|t| serialize_tuple(t))
-                .collect();
-            tuples.sort();
-            state.push(tuples.concat());
-        }
+        assert_closed_form(&deployment, n, i);
+        updates += deployment.query(&principal(i), "says$remote_link").len();
     }
-    let result = ModeResult {
+    assert_eq!(updates, 4 * n * n * (n - 1), "update count at {n} nodes");
+    let result = RunResult {
         wall,
         updates,
         apply_p50: report.apply_latency_p50,
         apply_p99: report.apply_latency_p99,
-        state,
     };
     eprintln!(
-        "stream_throughput: n={n} {label} done in {:?} ({} updates)",
+        "stream_throughput: n={n} done in {:?} ({} updates)",
         result.wall, result.updates
     );
     result
 }
 
-fn rate(result: &ModeResult) -> f64 {
+fn rate(result: &RunResult) -> f64 {
     result.updates as f64 / result.wall.as_secs_f64().max(1e-9)
 }
 
-fn mode_json(result: &ModeResult) -> String {
+fn result_json(result: &RunResult) -> String {
     format!(
         r#"{{"updates": {}, "wall_ns": {}, "updates_per_sec": {:.1}, "apply_p50_ns": {}, "apply_p99_ns": {}}}"#,
         result.updates,
@@ -130,36 +161,16 @@ fn main() {
     };
     let mut entries = Vec::new();
     for &n in &node_counts {
-        let per_envelope = run_mode(n, "per_envelope", StreamingConfig::disabled());
-        let streamed = run_mode(
-            n,
-            "streaming",
-            StreamingConfig::with_knobs(
-                secureblox::runtime::stream::DEFAULT_BATCH_MAX,
-                secureblox::runtime::stream::DEFAULT_QUEUE_HIGH_WATER,
-            ),
-        );
-        assert_eq!(
-            per_envelope.state, streamed.state,
-            "final state diverged between modes at {n} nodes"
-        );
-        assert_eq!(
-            per_envelope.updates, streamed.updates,
-            "update count diverged between modes at {n} nodes"
-        );
-        let speedup = rate(&streamed) / rate(&per_envelope).max(1e-9);
+        let result = run(n);
         println!(
-            "bench stream_throughput/n{n:<3} per_envelope {:>10.0}/s  streaming {:>10.0}/s  \
-             speedup {speedup:>5.2}x  (p99 apply {:?} -> {:?})",
-            rate(&per_envelope),
-            rate(&streamed),
-            per_envelope.apply_p99,
-            streamed.apply_p99,
+            "bench stream_throughput/n{n:<3} streaming {:>10.0}/s  (p50 apply {:?}, p99 {:?})",
+            rate(&result),
+            result.apply_p50,
+            result.apply_p99,
         );
         entries.push(format!(
-            r#"    {{"n": {n}, "per_envelope": {}, "streaming": {}, "speedup": {speedup:.2}, "final_state_identical": true}}"#,
-            mode_json(&per_envelope),
-            mode_json(&streamed),
+            r#"    {{"n": {n}, "streaming": {}, "final_state_matches_closed_form": true}}"#,
+            result_json(&result),
         ));
     }
     let dir = std::env::var_os("SECUREBLOX_BENCH_DIR")

@@ -18,7 +18,9 @@
 //! (`rejected_batches` stays zero in a benign run).
 
 use crate::policy::SecurityConfig;
-use crate::runtime::engine::{Deployment, DeploymentConfig, DeploymentReport, NodeSpec};
+use crate::runtime::engine::{
+    reactor_from_env, Deployment, DeploymentConfig, DeploymentReport, NodeSpec,
+};
 use crate::runtime::reactor::ReactorConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,7 +91,7 @@ pub struct PathVectorConfig {
     pub security: SecurityConfig,
     pub latency: LatencyModel,
     pub seed: u64,
-    /// Executor choice.  The default honours `SECUREBLOX_REACTOR`; the
+    /// Executor choice.  The default is [`DeploymentConfig::from_env`]'s; the
     /// figure-reproduction byte/latency comparisons pin
     /// [`ReactorConfig::disabled`] because wire-byte totals under streaming
     /// coalescing are properties of the deterministic reference schedule.
@@ -105,7 +107,7 @@ impl Default for PathVectorConfig {
             security: SecurityConfig::default(),
             latency: LatencyModel::default(),
             seed: 1,
-            reactor: ReactorConfig::default(),
+            reactor: reactor_from_env(),
         }
     }
 }

@@ -45,10 +45,9 @@ pub struct UpdateDelta {
 /// The envelope is natively **multi-delta**: the streaming scheduler's
 /// per-link outbox coalesces up to `SECUREBLOX_BATCH_MAX` consecutive deltas
 /// (assert-then-retract pairs for the same fact annihilate before shipping)
-/// into one envelope, which the receiver drains as one run-grouped batch
-/// apply.  The per-envelope path simply ships whatever one flush produced.
-/// Either way the wire format is identical — a batched stream decodes with
-/// the same [`UpdateEnvelope::decode`] as a per-flush stream.
+/// into one envelope, which the receiver drains delta by delta.  The wire
+/// format does not depend on the batching knobs — an envelope of one delta
+/// decodes with the same [`UpdateEnvelope::decode`] as one of sixty-four.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateEnvelope {
     /// Position of this envelope in the sender's per-link stream (1-based).

@@ -31,7 +31,9 @@ use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelop
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
-use crate::runtime::stream::{LinkOutbox, StreamingConfig};
+use crate::runtime::stream::{
+    LinkOutbox, StreamingConfig, DEFAULT_BATCH_MAX, DEFAULT_QUEUE_HIGH_WATER,
+};
 use crate::runtime::udfs::register_crypto_udfs;
 use secureblox_crypto::{
     aes128_ctr_decrypt, aes128_ctr_encrypt, hmac_sha1_verify, AuthScheme, EncScheme, KeyStore,
@@ -118,18 +120,15 @@ pub struct DeploymentConfig {
     /// its fixpoint deltas across this many workers (`<= 1` means serial).
     /// The default honours `SECUREBLOX_WORKERS`.
     pub parallelism: usize,
-    /// Streaming-scheduler knobs: per-link delta batching, annihilation, and
-    /// credit-based backpressure.  The default honours `SECUREBLOX_STREAMING`,
-    /// `SECUREBLOX_BATCH_MAX`, and `SECUREBLOX_QUEUE_HIGH_WATER`.
+    /// Update-stream knobs: per-link delta batching, annihilation, and
+    /// credit-based backpressure.
     pub streaming: StreamingConfig,
     /// Maximum data-plane deliveries one [`Deployment::run`] will process
-    /// before declaring the protocol non-convergent.  The default honours
-    /// `SECUREBLOX_MESSAGE_BUDGET` (falling back to 10 million).
+    /// before declaring the protocol non-convergent.
     pub message_budget: usize,
     /// Event-driven reactor executor: nodes run as wall-clock-parallel worker
     /// tasks woken by message arrival instead of turns in the virtual-time
-    /// loop.  The default honours `SECUREBLOX_REACTOR` and
-    /// `SECUREBLOX_REACTOR_THREADS`.
+    /// loop.
     pub reactor: ReactorConfig,
     /// Horizontal EDB sharding: when set (and active), base facts of the
     /// mapped relations are routed to their consistent-hash ring owner at
@@ -141,6 +140,22 @@ pub struct DeploymentConfig {
 
 impl Default for DeploymentConfig {
     fn default() -> Self {
+        DeploymentConfig::from_env()
+    }
+}
+
+impl DeploymentConfig {
+    /// The defaults with every `SECUREBLOX_*` runtime knob set in the
+    /// environment applied — this crate's one env-parse point, so CI can run
+    /// the whole suite under other settings unchanged: `_BATCH_MAX` and
+    /// `_QUEUE_HIGH_WATER` (the [`StreamingConfig`]), `_REACTOR` (any value
+    /// but empty, `0`, `false`, `off`) and `_REACTOR_THREADS`,
+    /// `_MESSAGE_BUDGET` (default 10 million deliveries), and
+    /// `_DURABILITY_DIR` (each deployment gets a fresh subdirectory, since a
+    /// fresh build refuses one with state).  Unparsable or zero counts keep
+    /// their defaults; `SECUREBLOX_WORKERS` belongs to the datalog crate.
+    pub fn from_env() -> Self {
+        static DURABLE_DEPLOYMENTS: AtomicU64 = AtomicU64::new(0);
         DeploymentConfig {
             security: SecurityConfig::default(),
             latency: LatencyModel::default(),
@@ -153,14 +168,45 @@ impl Default for DeploymentConfig {
             extra_policies: Vec::new(),
             grant_default_trust: true,
             grant_default_write_access: true,
-            durability: env_durability(),
+            durability: env_knob::<PathBuf>("SECUREBLOX_DURABILITY_DIR").map(|base| {
+                let unique = DURABLE_DEPLOYMENTS.fetch_add(1, Ordering::Relaxed);
+                DurabilityConfig::new(base.join(format!("deploy-{}-{unique}", std::process::id())))
+            }),
             parallelism: EvalOptions::default().workers,
-            streaming: StreamingConfig::default(),
-            message_budget: env_message_budget(),
-            reactor: ReactorConfig::default(),
+            streaming: StreamingConfig::with_knobs(
+                env_count("SECUREBLOX_BATCH_MAX", DEFAULT_BATCH_MAX),
+                env_count("SECUREBLOX_QUEUE_HIGH_WATER", DEFAULT_QUEUE_HIGH_WATER),
+            ),
+            message_budget: env_count("SECUREBLOX_MESSAGE_BUDGET", 10_000_000),
+            reactor: reactor_from_env(),
             sharding: None,
         }
     }
+}
+
+/// The executor `SECUREBLOX_REACTOR` and `SECUREBLOX_REACTOR_THREADS`
+/// select — [`DeploymentConfig::from_env`]'s `reactor`.
+pub(crate) fn reactor_from_env() -> ReactorConfig {
+    ReactorConfig {
+        enabled: env_knob::<String>("SECUREBLOX_REACTOR").is_some_and(|v| {
+            !matches!(v.to_ascii_lowercase().as_str(), "" | "0" | "false" | "off")
+        }),
+        threads: env_count(
+            "SECUREBLOX_REACTOR_THREADS",
+            ReactorConfig::default().threads,
+        ),
+    }
+}
+
+/// The trimmed value of environment variable `name`, parsed; `None` when it
+/// is unset or does not parse.
+fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
+/// A positive count from environment variable `name`, else `default`.
+fn env_count(name: &str, default: usize) -> usize {
+    env_knob(name).filter(|&v| v >= 1).unwrap_or(default)
 }
 
 /// Whether a message kind spends the non-convergence budget.  Control
@@ -171,31 +217,6 @@ pub(crate) fn is_data_plane(kind: MessageKind) -> bool {
         kind,
         MessageKind::Update | MessageKind::AnonForward | MessageKind::AnonBackward
     )
-}
-
-/// Message-budget default from the environment (`SECUREBLOX_MESSAGE_BUDGET`),
-/// falling back to 10 million deliveries.
-fn env_message_budget() -> usize {
-    std::env::var("SECUREBLOX_MESSAGE_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(10_000_000)
-}
-
-/// Durability default from the environment: when `SECUREBLOX_DURABILITY_DIR`
-/// is set, every default-configured deployment persists its nodes under a
-/// fresh subdirectory of it.  This lets the CI matrix run the whole
-/// integration suite with durability and the worker pool enabled together
-/// without code changes.  Each call yields a distinct directory (process id
-/// plus a counter) because a fresh build refuses a directory with state.
-fn env_durability() -> Option<DurabilityConfig> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let base = std::env::var_os("SECUREBLOX_DURABILITY_DIR")?;
-    let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-    Some(DurabilityConfig::new(
-        PathBuf::from(base).join(format!("deploy-{}-{unique}", std::process::id())),
-    ))
 }
 
 /// Summary of one deployment run — the quantities the paper's figures plot.
@@ -317,7 +338,7 @@ pub(crate) struct NodeState {
     /// this node shipped on the update stream — the wire cost of the shard
     /// plane, separated from ordinary `says` traffic.
     pub(crate) exchange_bytes: usize,
-    /// Streaming mode: this node's per-destination sender outboxes
+    /// This node's per-destination sender outboxes
     /// (coalescing + credit).  A `BTreeMap` so the quiescence force-flush
     /// walks links in a deterministic order (the reference executor's
     /// bit-for-bit reproducibility depends on it).  Sender-owned: a credit
@@ -396,6 +417,13 @@ impl Deployment {
     /// Build a deployment: provision keys, generate and compile the policies
     /// together with `app_source`, and install the result on every node.
     pub fn build(app_source: &str, specs: &[NodeSpec], config: DeploymentConfig) -> Result<Self> {
+        if !config.streaming.enabled {
+            return Err(DatalogError::Eval(
+                "StreamingConfig::enabled = false asks for the per-envelope update path, which \
+                 was removed: the streaming scheduler is the only update path"
+                    .into(),
+            ));
+        }
         // Sharding pre-pass: validate the map against the app, generate the
         // exchange declarations and routing rules (compiled with the app so
         // the `says` policy covers them), and route every sharded base fact
@@ -767,15 +795,15 @@ impl Deployment {
             let batch = std::mem::take(&mut self.nodes[index].pending_bootstrap);
             self.node_ctx(index).process_batch(batch, 0)?;
         }
-        // Message loop.  When the network goes quiet the streaming
-        // scheduler may still hold sub-batch residues in its outboxes
-        // (Nagle hold, see `drain_outbox`); force-flushing them wakes the
-        // loop back up until delivery *and* outboxes are both drained.
+        // Message loop.  When the network goes quiet the outboxes may still
+        // hold sub-batch residues (Nagle hold, see `drain_outbox`);
+        // force-flushing them wakes the loop back up until delivery *and*
+        // outboxes are both drained.
         let mut guard = 0usize;
         let message_budget = self.config.message_budget;
         loop {
             let Some((arrival, message)) = self.network.next_delivery() else {
-                if self.config.streaming.enabled && self.flush_pending_outboxes()? {
+                if self.flush_pending_outboxes()? {
                     continue;
                 }
                 break;
@@ -935,17 +963,18 @@ impl NodeCtx<'_> {
         Ok(committed)
     }
 
-    /// The transaction step shared by [`Deployment::process_batch`] and the
-    /// streaming drain: apply `batch` as one ACID transaction, account
-    /// virtual time, WAL-log on commit, and record the verdict.  Does NOT
-    /// flush update streams — the caller decides when (per transaction on
-    /// the per-envelope path, once per drained envelope in streaming mode).
+    /// The transaction step shared by [`NodeCtx::process_batch`], the
+    /// update-stream drain and circuit deliveries: apply `batch` as one ACID
+    /// transaction, account virtual time, WAL-log on commit, and record the
+    /// verdict.  Does NOT flush update streams — the caller decides when
+    /// (per transaction in `process_batch` and circuit deliveries, once per
+    /// delivered envelope on the update stream).
     ///
     /// `incremental` selects [`Workspace::transaction_incremental`], the
     /// seeded snapshot-free path with identical verdicts; it requires a
-    /// converged workspace, which every streaming drain has (the bootstrap
-    /// transaction at time zero converges each node, and every later
-    /// transaction or DRed retraction leaves a fixpoint).
+    /// converged workspace, which every update-stream drain has (the
+    /// bootstrap transaction at time zero converges each node, and every
+    /// later transaction or DRed retraction leaves a fixpoint).
     fn apply_transaction(
         &mut self,
         batch: Vec<(String, Tuple)>,
@@ -1002,8 +1031,8 @@ impl NodeCtx<'_> {
     /// Flush this node's update streams: withdraw previously exported
     /// tuples the workspace no longer derives (as signed `Retract` deltas),
     /// export newly derived `says$T` / anonymity tuples (as `Assert` deltas),
-    /// and ship one ordered [`UpdateEnvelope`] per destination over a FIFO
-    /// link.
+    /// and queue them, in order, on each destination's [`LinkOutbox`], which
+    /// ships them as [`UpdateEnvelope`]s over a FIFO link.
     pub(crate) fn flush_updates(&mut self, now: VirtualTime) -> Result<()> {
         let self_principal = self.node.info.principal.clone();
         let started = Instant::now();
@@ -1155,36 +1184,24 @@ impl NodeCtx<'_> {
 
         // 3. Export processing (serialization, signature lookup, encryption)
         //    costs real compute; charge it to the node's virtual clock, then
-        //    ship over the FIFO stream — directly (one envelope per
-        //    destination, the seed path) or through the per-link outboxes
-        //    (streaming: coalescing, annihilation, credit).
+        //    ship through the per-link outboxes (coalescing, annihilation,
+        //    credit) over the FIFO stream.
         let overhead = started.elapsed();
         let send_time = now + overhead.as_nanos() as u64;
         self.node.available_at = self.node.available_at.max(send_time);
-        if self.config.streaming.enabled {
-            for (dest, deltas) in per_dest {
-                let high_water = self.config.streaming.queue_high_water;
-                let outbox = self
-                    .node
-                    .outboxes
-                    .entry(dest)
-                    .or_insert_with(|| LinkOutbox::new(high_water));
-                for delta in deltas {
-                    if outbox.push(delta) {
-                        secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
-                    }
+        for (dest, deltas) in per_dest {
+            let high_water = self.config.streaming.queue_high_water;
+            let outbox = self
+                .node
+                .outboxes
+                .entry(dest)
+                .or_insert_with(|| LinkOutbox::new(high_water));
+            for delta in deltas {
+                if outbox.push(delta) {
+                    secureblox_telemetry::counter!("engine_stream_annihilated_total").add(2);
                 }
-                self.drain_outbox(dest, send_time, false)?;
             }
-        } else {
-            for (dest, deltas) in per_dest {
-                let seq = {
-                    let counter = self.node.stream_seq.entry(dest).or_insert(0);
-                    *counter += 1;
-                    *counter
-                };
-                self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, send_time)?;
-            }
+            self.drain_outbox(dest, send_time, false)?;
         }
         for (_, message) in anon_outgoing {
             self.net.send_fifo(message, send_time);
@@ -1229,12 +1246,10 @@ impl NodeCtx<'_> {
             }
             secureblox_telemetry::histogram!("engine_stream_batch_deltas")
                 .record(deltas.len() as u64);
-            let seq = {
-                let counter = self.node.stream_seq.entry(dest).or_insert(0);
-                *counter += 1;
-                *counter
-            };
-            self.ship_envelope(dest, UpdateEnvelope { seq, deltas }, now)?;
+            let seq = self.node.stream_seq.entry(dest).or_insert(0);
+            *seq += 1;
+            let envelope = UpdateEnvelope { seq: *seq, deltas };
+            self.ship_envelope(dest, envelope, now)?;
         }
     }
 
@@ -1448,9 +1463,16 @@ impl NodeCtx<'_> {
     }
 
     /// Apply one inbound update-stream envelope: decrypt, decode, drop stale
-    /// duplicates, then apply every delta in order — each `Assert` as its own
-    /// ACID transaction (paper semantics), each `Retract` as a verified
-    /// incremental deletion.
+    /// duplicates, then apply its deltas in order, each with its own verdict
+    /// (paper semantics) — every `Assert` is its own ACID transaction (via
+    /// the seeded, snapshot-free [`Workspace::transaction_incremental`],
+    /// which commits and rolls back identically to
+    /// [`Workspace::transaction`]), every `Retract` is authorized and
+    /// DRed-applied individually.  What the envelope amortizes is
+    /// *scheduling*, not semantics: one export flush per envelope instead of
+    /// one per committed delta (flushes are idempotent — the `sent` cursor
+    /// dedups — so deferring them cannot change what ships), plus the
+    /// sender-side coalescing and the credit return.
     fn deliver_update(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let _apply_timer = secureblox_telemetry::histogram!("engine_update_apply_ns").start_timer();
         let mut update_span =
@@ -1492,7 +1514,6 @@ impl NodeCtx<'_> {
         // signature-verified retraction).  An envelope of forged deltas —
         // whatever sequence number it claims — must not be able to mute the
         // link for the peer's legitimate traffic.
-        let mut accepted = false;
         update_span.record_field("from", message.from.0 as u64);
         update_span.record_field("seq", envelope.seq);
         update_span.record_field("deltas", envelope.deltas.len() as u64);
@@ -1505,42 +1526,59 @@ impl NodeCtx<'_> {
             .then(|| {
                 secureblox_telemetry::histogram!("engine_shard_shuffle_apply_ns").start_timer()
             });
-        if self.config.streaming.enabled {
-            accepted = self.drain_inbox(message.from, envelope.deltas, arrival)?;
-        } else {
-            for delta in envelope.deltas {
-                let batch = delta_batch(&delta);
-                match delta.op {
-                    DeltaOp::Assert => {
-                        // The receiver's own constraints (signature
-                        // verification, trust, write access) accept or roll
-                        // back the batch.
-                        if self.process_batch(batch, arrival)? {
-                            accepted = true;
-                        }
-                    }
-                    DeltaOp::Retract => {
-                        // Channel-level checks mirror the datalog-side assert
-                        // constraints: only the principal that said a fact —
-                        // and whose signature still verifies over it — may
-                        // retract it, and only at the addressee.
-                        let authorized = delta.tuple.len() >= 2
-                            && delta.tuple[0].as_str() == Some(from_principal.as_str())
-                            && delta.tuple[1].as_str() == Some(to_principal.as_str())
-                            && self.verify_update_signature(
-                                &from_principal,
-                                &to_principal,
-                                &delta,
-                            )?;
-                        if !authorized {
-                            self.timing.record_rejection(message.to, arrival);
-                            continue;
-                        }
+        secureblox_telemetry::histogram!("engine_stream_recv_batch_deltas")
+            .record(envelope.deltas.len() as u64);
+        let mut accepted = false;
+        let mut dirty = false;
+        for delta in &envelope.deltas {
+            match delta.op {
+                DeltaOp::Assert => {
+                    // The receiver's own constraints (signature verification,
+                    // trust, write access) accept or roll back the delta.
+                    if self.apply_transaction(delta_batch(delta), arrival, true)? {
                         accepted = true;
-                        self.apply_retraction(batch, arrival)?;
+                        dirty = true;
                     }
                 }
+                DeltaOp::Retract => {
+                    // Channel-level checks mirror the datalog-side assert
+                    // constraints: only the principal that said a fact — and
+                    // whose signature still verifies over it — may retract
+                    // it, and only at the addressee.
+                    let authorized = delta.tuple.len() >= 2
+                        && delta.tuple[0].as_str() == Some(from_principal.as_str())
+                        && delta.tuple[1].as_str() == Some(to_principal.as_str())
+                        && self.verify_update_signature(&from_principal, &to_principal, delta)?;
+                    if !authorized {
+                        self.timing.record_rejection(message.to, arrival);
+                        continue;
+                    }
+                    accepted = true;
+                    dirty |= self.apply_retraction(delta_batch(delta), arrival)?;
+                }
             }
+        }
+        if dirty {
+            let now = self.node.available_at;
+            self.flush_updates(now)?;
+        }
+        if !envelope.deltas.is_empty() {
+            // Return the drained deltas' credit once the applies finish.  The
+            // grant is unconditional — rejected deltas were still drained —
+            // so every shipped delta eventually refills the sender's window
+            // and a stalled outbox can never deadlock.  Credit rides a plain
+            // (unordered) message: grants are cumulative counts, order-free.
+            let send_at = arrival.max(self.node.available_at);
+            secureblox_telemetry::counter!("engine_stream_credits_total").inc();
+            self.net.send(
+                Message::new(
+                    message.to,
+                    message.from,
+                    MessageKind::Credit,
+                    secureblox_net::message::encode_credit(envelope.deltas.len() as u64),
+                ),
+                send_at,
+            );
         }
         if accepted {
             let last = self
@@ -1589,105 +1627,11 @@ impl NodeCtx<'_> {
         }
     }
 
-    /// Streaming mode: apply one delivered envelope's deltas in order, each
-    /// with exactly the per-envelope path's verdict — every `Assert` is its
-    /// own ACID transaction (via the seeded, snapshot-free
-    /// [`Workspace::transaction_incremental`], which commits and rolls back
-    /// identically to [`Workspace::transaction`]), every `Retract` is
-    /// authorized and DRed-applied individually.  What the batch amortizes
-    /// is *scheduling*, not semantics: one export flush per drained envelope
-    /// instead of one per committed delta (flushes are idempotent — the
-    /// `sent` cursor dedups — so deferring them cannot change what ships),
-    /// plus the sender-side coalescing and credit return below.  Returns
-    /// whether any delta produced policy-accepted evidence.
-    fn drain_inbox(
-        &mut self,
-        from: NodeId,
-        deltas: Vec<UpdateDelta>,
-        arrival: VirtualTime,
-    ) -> Result<bool> {
-        let to_id = NodeId(self.index as u32);
-        secureblox_telemetry::histogram!("engine_stream_recv_batch_deltas")
-            .record(deltas.len() as u64);
-        if deltas.is_empty() {
-            return Ok(false);
-        }
-        let from_principal = self.shared.principals[from.index()].clone();
-        let to_principal = self.node.info.principal.clone();
-        let mut accepted = false;
-        let mut dirty = false;
-        for delta in &deltas {
-            match delta.op {
-                DeltaOp::Assert => {
-                    if self.apply_transaction(delta_batch(delta), arrival, true)? {
-                        accepted = true;
-                        dirty = true;
-                    }
-                }
-                DeltaOp::Retract => {
-                    // Channel-level checks, per delta, exactly as on the
-                    // per-envelope path: only the principal that said a fact
-                    // — and whose signature still verifies over it — may
-                    // retract it, and only at the addressee.
-                    let authorized = delta.tuple.len() >= 2
-                        && delta.tuple[0].as_str() == Some(from_principal.as_str())
-                        && delta.tuple[1].as_str() == Some(to_principal.as_str())
-                        && self.verify_update_signature(&from_principal, &to_principal, delta)?;
-                    if !authorized {
-                        self.timing.record_rejection(to_id, arrival);
-                        continue;
-                    }
-                    accepted = true;
-                    if self.apply_retraction_inner(delta_batch(delta), arrival)? {
-                        dirty = true;
-                    }
-                }
-            }
-        }
-        if dirty {
-            let now = self.node.available_at;
-            self.flush_updates(now)?;
-        }
-        // Return the drained deltas' credit once the applies finish.  The
-        // grant is unconditional — rejected deltas were still drained — so
-        // every shipped delta eventually refills the sender's window and a
-        // stalled outbox can never deadlock.  Credit rides a plain
-        // (unordered) message: grants are cumulative counts, order-free.
-        let send_at = arrival.max(self.node.available_at);
-        secureblox_telemetry::counter!("engine_stream_credits_total").inc();
-        self.net.send(
-            Message::new(
-                to_id,
-                from,
-                MessageKind::Credit,
-                secureblox_net::message::encode_credit(deltas.len() as u64),
-            ),
-            send_at,
-        );
-        Ok(accepted)
-    }
-
-    /// Apply a verified retraction batch here and, when it deleted
-    /// stored facts, immediately propagate the cascaded withdrawals through
-    /// this node's own update streams (the per-envelope path's behaviour;
-    /// the streaming drain defers that flush to the end of the envelope).
-    fn apply_retraction(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        arrival: VirtualTime,
-    ) -> Result<()> {
-        if self.apply_retraction_inner(batch, arrival)? {
-            let finish = self.node.available_at;
-            self.flush_updates(finish)?;
-        }
-        Ok(())
-    }
-
     /// DRed the batch out of the workspace, WAL-log it (so recovery replays
     /// it in order), and record the verdict.  Returns whether stored facts
     /// were actually deleted — only then does the caller need to flush
     /// update streams for cascaded withdrawals.
-    fn apply_retraction_inner(
+    fn apply_retraction(
         &mut self,
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
@@ -1738,6 +1682,32 @@ impl NodeCtx<'_> {
         }
     }
 
+    /// Apply the deltas a circuit delivered at its endpoint or initiator,
+    /// each as the one fact `fact_of` maps it to, flushing update streams
+    /// after every delta that changed the workspace.  The onion layers
+    /// already authenticate circuit traffic, so a withdrawal needs no
+    /// detached signature.
+    fn apply_circuit_deltas(
+        &mut self,
+        deltas: Vec<UpdateDelta>,
+        arrival: VirtualTime,
+        fact_of: impl Fn(UpdateDelta) -> (String, Tuple),
+    ) -> Result<()> {
+        for delta in deltas {
+            let op = delta.op;
+            let batch = vec![fact_of(delta)];
+            let changed = match op {
+                DeltaOp::Assert => self.apply_transaction(batch, arrival, false)?,
+                DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
+            };
+            if changed {
+                let now = self.node.available_at;
+                self.flush_updates(now)?;
+            }
+        }
+        Ok(())
+    }
+
     fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
         let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
@@ -1769,20 +1739,11 @@ impl NodeCtx<'_> {
                     return Ok(());
                 }
             };
-            for delta in envelope.deltas {
+            return self.apply_circuit_deltas(envelope.deltas, arrival, |delta| {
                 let mut tuple = vec![Value::Int(circuit.id as i64)];
                 tuple.extend(delta.tuple);
-                let batch = vec![(format!("anon_says_id_in${}", delta.pred), tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    // The onion layers already authenticate circuit traffic;
-                    // a withdrawal needs no detached signature.
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
-            }
-            return Ok(());
+                (format!("anon_says_id_in${}", delta.pred), tuple)
+            });
         }
         // Relay: forward the peeled cell to the next hop.
         let next_hop_index = hop as usize + 1;
@@ -1839,16 +1800,9 @@ impl NodeCtx<'_> {
                     return Ok(());
                 }
             };
-            for delta in envelope.deltas {
-                let batch = vec![(format!("anon_reply${}", delta.pred), delta.tuple)];
-                match delta.op {
-                    DeltaOp::Assert => {
-                        self.process_batch(batch, arrival)?;
-                    }
-                    DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
-                }
-            }
-            return Ok(());
+            return self.apply_circuit_deltas(envelope.deltas, arrival, |delta| {
+                (format!("anon_reply${}", delta.pred), delta.tuple)
+            });
         }
         // Relay: add this hop's layer and forward towards the initiator.
         let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
@@ -2174,48 +2128,64 @@ mod tests {
         assert!(text.contains("msgs"), "got: {text}");
     }
 
+    /// The update stream is knob-invariant: the tightest schedule (one
+    /// delta per envelope, a credit window of one) and the squeezed and
+    /// default knobs agree on every relation and verdict.
     #[test]
-    fn streaming_gossip_matches_per_envelope_path() {
-        let baseline_config = DeploymentConfig {
-            security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            streaming: StreamingConfig::disabled(),
-            ..DeploymentConfig::default()
+    fn gossip_outcome_is_independent_of_stream_knobs() {
+        let run = |streaming: StreamingConfig| {
+            let config = DeploymentConfig {
+                security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
+                streaming,
+                ..DeploymentConfig::default()
+            };
+            let mut deployment = Deployment::build(GOSSIP_APP, &two_node_specs(), config).unwrap();
+            let report = deployment.run().unwrap();
+            (deployment, report)
         };
-        let mut baseline =
-            Deployment::build(GOSSIP_APP, &two_node_specs(), baseline_config).unwrap();
-        let baseline_report = baseline.run().unwrap();
-        let streaming_config = DeploymentConfig {
-            security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
-            streaming: StreamingConfig::with_knobs(8, 32),
-            ..DeploymentConfig::default()
-        };
-        let mut streaming =
-            Deployment::build(GOSSIP_APP, &two_node_specs(), streaming_config).unwrap();
-        let streaming_report = streaming.run().unwrap();
-        for principal in ["n0", "n1"] {
-            for pred in ["remote_link", "says$remote_link", "link"] {
-                assert_eq!(
-                    baseline.query(principal, pred),
-                    streaming.query(principal, pred),
-                    "{principal}/{pred} diverged under streaming"
-                );
+        let (tightest, tightest_report) = run(StreamingConfig::with_knobs(1, 1));
+        for streaming in [
+            StreamingConfig::with_knobs(8, 32),
+            StreamingConfig::default(),
+        ] {
+            let label = format!("{streaming:?}");
+            let (other, other_report) = run(streaming);
+            for principal in ["n0", "n1"] {
+                for pred in ["remote_link", "says$remote_link", "link"] {
+                    assert_eq!(
+                        tightest.query(principal, pred),
+                        other.query(principal, pred),
+                        "{principal}/{pred} diverged under {label}"
+                    );
+                }
             }
+            assert_eq!(
+                tightest_report.rejected_batches,
+                other_report.rejected_batches
+            );
+            assert_eq!(
+                tightest_report.retractions_applied,
+                other_report.retractions_applied
+            );
         }
-        assert_eq!(
-            baseline_report.rejected_batches,
-            streaming_report.rejected_batches
-        );
-        assert_eq!(
-            baseline_report.retractions_applied,
-            streaming_report.retractions_applied
-        );
+    }
+
+    #[test]
+    fn build_refuses_a_disabled_update_stream() {
+        let mut config = DeploymentConfig::default();
+        config.streaming.enabled = false;
+        let err = Deployment::build(GOSSIP_APP, &two_node_specs(), config)
+            .err()
+            .expect("a disabled update stream must be refused");
+        let text = err.to_string();
+        assert!(text.contains("per-envelope update path"), "got: {text}");
+        assert!(text.contains("removed"), "got: {text}");
     }
 
     #[test]
     fn streaming_retraction_converges_and_annihilates_nothing_shipped() {
         // Assert, converge, retract at the source: the withdrawal must cross
-        // the wire as a Retract delta and remove the remote copy, exactly as
-        // on the per-envelope path.
+        // the wire as a Retract delta and remove the remote copy.
         let config = DeploymentConfig {
             security: SecurityConfig::new(AuthScheme::HmacSha1, EncScheme::None),
             streaming: StreamingConfig::with_knobs(8, 32),
@@ -2235,7 +2205,7 @@ mod tests {
         assert!(report.retractions_applied >= 1);
     }
 
-    /// Regression (PR 9): the non-convergence guard must count only
+    /// Regression: the non-convergence guard must count only
     /// data-plane deliveries.  A streaming gossip exchange is exactly two
     /// Update envelopes plus two Credit grants; with the old counting the
     /// credits spent half the budget and a budget of 2 tripped spuriously.

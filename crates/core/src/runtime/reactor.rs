@@ -2,7 +2,7 @@
 //! task woken by message arrival, instead of a turn in the reference
 //! executor's global virtual-time loop.
 //!
-//! The reference loop ([`Deployment::run`] with `SECUREBLOX_REACTOR=0`)
+//! The reference loop ([`Deployment::run`] with the reactor disabled)
 //! replays the deployment as a discrete-event simulation: one thread pops
 //! messages off a global heap in virtual-time order, so a 36-node deployment
 //! uses one core no matter how many the host has.  The reactor keeps the
@@ -38,7 +38,6 @@ use crate::runtime::engine::{
     is_data_plane, Deployment, DeploymentConfig, DeploymentReport, EngineShared, NetSink, NodeCtx,
     NodeState,
 };
-use crate::runtime::stream::{env_flag, env_usize};
 use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_net::{
     record_message_latency, LinkLanes, Message, NetworkStats, TimingStats, VirtualTime,
@@ -48,10 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Reactor-executor knobs.  The default honours `SECUREBLOX_REACTOR`
-/// (off = the deterministic virtual-time reference loop) and
-/// `SECUREBLOX_REACTOR_THREADS` (worker-pool size, default: available
-/// hardware parallelism).
+/// Reactor-executor knobs.  The default is off (the deterministic
+/// virtual-time reference loop) with one worker per available hardware
+/// thread; `SECUREBLOX_REACTOR` and `SECUREBLOX_REACTOR_THREADS` override
+/// both through [`DeploymentConfig::from_env`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Run [`Deployment::run`] on the event-driven executor.
@@ -63,14 +62,14 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> Self {
         ReactorConfig {
-            enabled: env_flag("SECUREBLOX_REACTOR"),
-            threads: env_usize("SECUREBLOX_REACTOR_THREADS", default_threads()),
+            enabled: false,
+            threads: default_threads(),
         }
     }
 }
 
 impl ReactorConfig {
-    /// The reference executor, ignoring the environment.
+    /// The reference executor on a single worker.
     pub fn disabled() -> Self {
         ReactorConfig {
             enabled: false,
@@ -402,9 +401,6 @@ impl<'d> Reactor<'d> {
                 }
             }
             if self.halted() {
-                break;
-            }
-            if !self.config.streaming.enabled {
                 break;
             }
             match self.flush_residues() {

@@ -35,8 +35,8 @@ pub struct ReplicaState {
     /// Per-node cursor: principal → last acked master WAL sequence.
     ///
     /// Cursors count WAL *records*, not update-stream deltas, so they are
-    /// oblivious to batching: a streaming-mode master logs a whole combined
-    /// batch as consecutive records sharing one watermark, and a cursor
+    /// oblivious to batching: a master logs a whole transaction's batch as
+    /// consecutive records sharing one watermark, and a cursor
     /// sitting anywhere inside that group simply ships the remaining records
     /// on the next sync — recovery's grouping by watermark restores the
     /// batch's atomicity regardless of where the cursor paused.

@@ -1,13 +1,12 @@
 //! The streaming scheduler: per-link outbox coalescing and credit-based
-//! backpressure for the authenticated update stream.
+//! backpressure for the authenticated update stream — the runtime's one
+//! update path.
 //!
-//! The seed runtime shipped one [`UpdateEnvelope`] per `flush_updates` call
-//! and applied one transaction per delta on delivery.  The streaming runtime
-//! (DESIGN.md §12) replaces that hot path with:
+//! Every exported delta travels this way (DESIGN.md §12):
 //!
 //! * **Sender:** every exported delta is pushed into a per-link
 //!   [`LinkOutbox`].  Consecutive deltas coalesce into one signed multi-delta
-//!   envelope of up to [`StreamingConfig::batch_max`] deltas; an
+//!   [`UpdateEnvelope`] of up to [`StreamingConfig::batch_max`] deltas; an
 //!   assert-then-retract pair for the same fact *annihilates* in the outbox
 //!   before it ever hits the wire (the receiver would have inserted and then
 //!   deleted it — net nothing).
@@ -19,8 +18,8 @@
 //!   and re-coalescing, so hot links get **more** batching under load instead
 //!   of unbounded receiver queues.
 //!
-//! The receiver-side queue drain and batch apply live in `engine.rs`; this
-//! module owns the configuration and the outbox data structure.
+//! The receiver-side queue drain and per-delta apply live in `engine.rs`;
+//! this module owns the configuration and the outbox data structure.
 //!
 //! [`UpdateEnvelope`]: crate::runtime::codec::UpdateEnvelope
 //! [`MessageKind::Credit`]: secureblox_net::MessageKind::Credit
@@ -30,23 +29,24 @@ use secureblox_datalog::value::Tuple;
 use secureblox_net::VirtualTime;
 use std::collections::{HashMap, VecDeque};
 
-/// Default deltas per shipped envelope (`SECUREBLOX_BATCH_MAX`).
+/// Default deltas per shipped envelope (`SECUREBLOX_BATCH_MAX` overrides).
 pub const DEFAULT_BATCH_MAX: usize = 64;
 
-/// Default per-link credit window in deltas (`SECUREBLOX_QUEUE_HIGH_WATER`).
+/// Default per-link credit window in deltas (`SECUREBLOX_QUEUE_HIGH_WATER`
+/// overrides).
 pub const DEFAULT_QUEUE_HIGH_WATER: usize = 256;
 
-/// Streaming-runtime knobs.
+/// Streaming-runtime knobs.  [`StreamingConfig::default`] is the shipped
+/// defaults; `SECUREBLOX_BATCH_MAX` and `SECUREBLOX_QUEUE_HIGH_WATER`
+/// override them through [`DeploymentConfig::from_env`].
 ///
-/// The defaults honour `SECUREBLOX_STREAMING` (any value but `0`, `false`, or
-/// `off` enables the scheduler), `SECUREBLOX_BATCH_MAX`, and
-/// `SECUREBLOX_QUEUE_HIGH_WATER`, so the CI matrix can run the whole suite
-/// with batching and backpressure on without code changes.
+/// [`DeploymentConfig::from_env`]: crate::runtime::DeploymentConfig::from_env
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingConfig {
-    /// Route update streams through per-link outboxes and batched applies.
-    /// When false the runtime keeps the seed's one-envelope-per-flush,
-    /// one-transaction-per-delta path exactly.
+    /// Always `true`: the streaming scheduler is the only update path.  Kept
+    /// only for readers of the config; [`Deployment::build`] refuses `false`.
+    ///
+    /// [`Deployment::build`]: crate::runtime::Deployment::build
     pub enabled: bool,
     /// Maximum deltas per shipped envelope.
     pub batch_max: usize,
@@ -59,16 +59,12 @@ pub struct StreamingConfig {
 
 impl Default for StreamingConfig {
     fn default() -> Self {
-        StreamingConfig {
-            enabled: env_flag("SECUREBLOX_STREAMING"),
-            batch_max: env_usize("SECUREBLOX_BATCH_MAX", DEFAULT_BATCH_MAX),
-            queue_high_water: env_usize("SECUREBLOX_QUEUE_HIGH_WATER", DEFAULT_QUEUE_HIGH_WATER),
-        }
+        StreamingConfig::with_knobs(DEFAULT_BATCH_MAX, DEFAULT_QUEUE_HIGH_WATER)
     }
 }
 
 impl StreamingConfig {
-    /// The scheduler with explicit knobs, ignoring the environment.
+    /// The scheduler with explicit knobs (each clamped to at least 1).
     pub fn with_knobs(batch_max: usize, queue_high_water: usize) -> Self {
         StreamingConfig {
             enabled: true,
@@ -76,30 +72,6 @@ impl StreamingConfig {
             queue_high_water: queue_high_water.max(1),
         }
     }
-
-    /// The seed's per-envelope path, ignoring the environment.
-    pub fn disabled() -> Self {
-        StreamingConfig {
-            enabled: false,
-            batch_max: DEFAULT_BATCH_MAX,
-            queue_high_water: DEFAULT_QUEUE_HIGH_WATER,
-        }
-    }
-}
-
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim().to_ascii_lowercase();
-        !v.is_empty() && v != "0" && v != "false" && v != "off"
-    })
-}
-
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(default)
 }
 
 /// A queued delta slot.  `None` marks a tombstone left by annihilation; the
@@ -350,6 +322,6 @@ mod tests {
         assert!(config.enabled);
         assert_eq!(config.batch_max, 1);
         assert_eq!(config.queue_high_water, 1);
-        assert!(!StreamingConfig::disabled().enabled);
+        assert!(StreamingConfig::default().enabled);
     }
 }

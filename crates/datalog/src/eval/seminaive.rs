@@ -23,8 +23,9 @@
 //! inserts the collected derivations sequentially in combination order.
 //! Because phase A never observes phase B, the end state of a round is a
 //! pure function of its start state — independent of the worker count.
-//! Rules with head existentials always evaluate serially in phase A: entity
-//! minting is order-sensitive.
+//! Rules with head existentials always evaluate serially in phase A, and the
+//! round mints their new entities together in canonical `(rule, binding)`
+//! order, so ordinals are a function of the round's new bindings alone.
 
 use super::aggregate::evaluate_agg_rule_exec;
 use super::batch::{self, BatchJob, IdBatch};
@@ -41,7 +42,7 @@ use crate::intern::Interner;
 use crate::relation::Relation;
 use crate::schema::{PredicateKind, Schema};
 use crate::udf::UdfRegistry;
-use crate::value::{Tuple, Value};
+use crate::value::{tuple_total_cmp, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -53,6 +54,14 @@ pub struct FixpointStats {
     /// Total number of semi-naïve iterations across strata.
     pub iterations: usize,
 }
+
+/// A head-existential combination: rule index, compiled plan, and the
+/// optional delta restriction of one body literal.
+type ExistentialCombo<'a> = (
+    usize,
+    Option<&'a RulePlan>,
+    Option<(usize, &'a HashSet<Tuple>)>,
+);
 
 /// Result of evaluating one `(rule, delta-literal)` combination in phase A.
 /// Id-space derivations stay interned until insertion; only genuinely new
@@ -184,86 +193,7 @@ impl<'a> Evaluator<'a> {
     /// Run all strata to fixpoint.  `strata` holds rule indices (into `rules`)
     /// grouped by stratum in evaluation order.
     pub fn run(&mut self, rules: &[Rule], strata: &[Vec<usize>]) -> Result<FixpointStats> {
-        let mut stats = FixpointStats::default();
-        for stratum in strata {
-            let stratum_stats = self.run_stratum(rules, stratum)?;
-            stats.derived += stratum_stats.derived;
-            stats.iterations += stratum_stats.iterations;
-        }
-        Ok(stats)
-    }
-
-    /// Run a single stratum (a set of mutually recursive rules) to fixpoint.
-    pub fn run_stratum(&mut self, rules: &[Rule], stratum: &[usize]) -> Result<FixpointStats> {
-        let mut stats = FixpointStats::default();
-
-        // Head predicates derived in this stratum; deltas are tracked per
-        // such predicate.
-        let mut idb_preds: HashSet<String> = HashSet::new();
-        for &rule_index in stratum {
-            for atom in &rules[rule_index].head {
-                idb_preds.insert(runtime_pred_name(&atom.pred)?);
-            }
-        }
-
-        let (agg_rules, normal_rules): (Vec<usize>, Vec<usize>) = stratum
-            .iter()
-            .copied()
-            .partition(|&i| rules[i].agg.is_some());
-
-        // Initial (naïve) round over the full relations.
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        let combos: Vec<(usize, Option<usize>)> =
-            normal_rules.iter().map(|&index| (index, None)).collect();
-        let empty_delta = HashMap::new();
-        for derivation in self.evaluate_round(rules, &combos, &empty_delta)? {
-            stats.derived += self.insert_derivation(derivation, &mut delta)?;
-        }
-        for &rule_index in &agg_rules {
-            let derived = self.recompute_aggregate(rules, rule_index)?;
-            stats.derived += self.insert_replacing(derived, &mut delta)?;
-        }
-        stats.iterations += 1;
-
-        // Semi-naïve iterations.
-        while delta.values().any(|d| !d.is_empty()) {
-            if stats.iterations > self.config.max_iterations {
-                return Err(DatalogError::FixpointBudget {
-                    iterations: self.config.max_iterations,
-                });
-            }
-            let mut combos: Vec<(usize, Option<usize>)> = Vec::new();
-            for &rule_index in &normal_rules {
-                let rule = &rules[rule_index];
-                for (literal_index, literal) in rule.body.iter().enumerate() {
-                    let Literal::Pos(atom) = literal else {
-                        continue;
-                    };
-                    let pred = runtime_pred_name(&atom.pred)?;
-                    if !idb_preds.contains(&pred) {
-                        continue;
-                    }
-                    let Some(pred_delta) = delta.get(&pred) else {
-                        continue;
-                    };
-                    if pred_delta.is_empty() {
-                        continue;
-                    }
-                    combos.push((rule_index, Some(literal_index)));
-                }
-            }
-            let mut next_delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-            for derivation in self.evaluate_round(rules, &combos, &delta)? {
-                stats.derived += self.insert_derivation(derivation, &mut next_delta)?;
-            }
-            for &rule_index in &agg_rules {
-                let derived = self.recompute_aggregate(rules, rule_index)?;
-                stats.derived += self.insert_replacing(derived, &mut next_delta)?;
-            }
-            delta = next_delta;
-            stats.iterations += 1;
-        }
-        Ok(stats)
+        self.run_from(rules, strata, None)
     }
 
     /// Run all strata to fixpoint from a **converged** database, driving the
@@ -288,7 +218,6 @@ impl<'a> Evaluator<'a> {
         strata: &[Vec<usize>],
         seed: &HashMap<String, HashSet<Tuple>>,
     ) -> Result<FixpointStats> {
-        let mut stats = FixpointStats::default();
         // Everything new since the pre-transaction fixpoint: the seed plus
         // every tuple derived so far.  Later strata must see earlier strata's
         // additions as first-round drivers, so each stratum merges its deltas
@@ -298,23 +227,41 @@ impl<'a> Evaluator<'a> {
             .filter(|(_, set)| !set.is_empty())
             .map(|(pred, set)| (pred.clone(), set.clone()))
             .collect();
+        self.run_from(rules, strata, Some(&mut accumulated))
+    }
+
+    fn run_from(
+        &mut self,
+        rules: &[Rule],
+        strata: &[Vec<usize>],
+        mut accumulated: Option<&mut HashMap<String, HashSet<Tuple>>>,
+    ) -> Result<FixpointStats> {
+        let mut stats = FixpointStats::default();
         for stratum in strata {
-            let stratum_stats = self.run_stratum_seeded(rules, stratum, &mut accumulated)?;
+            let stratum_stats = self.run_stratum(rules, stratum, accumulated.as_deref_mut())?;
             stats.derived += stratum_stats.derived;
             stats.iterations += stratum_stats.iterations;
         }
         Ok(stats)
     }
 
-    /// One stratum of [`Evaluator::run_seeded`]: a seeded first round, then
-    /// the ordinary semi-naïve loop of [`Evaluator::run_stratum`].
-    fn run_stratum_seeded(
+    /// One stratum (a set of mutually recursive rules) to fixpoint.  Without
+    /// `accumulated` the first round is naïve over the full relations.  With
+    /// it — the tuples new since the last fixpoint, see
+    /// [`Evaluator::run_seeded`] — the first round runs only the
+    /// `(rule, positive-literal)` combinations whose predicate has new
+    /// tuples, and every round's delta merges back into it so later strata
+    /// see this one's additions.  The semi-naïve rounds that follow are the
+    /// same either way.
+    fn run_stratum(
         &mut self,
         rules: &[Rule],
         stratum: &[usize],
-        accumulated: &mut HashMap<String, HashSet<Tuple>>,
+        mut accumulated: Option<&mut HashMap<String, HashSet<Tuple>>>,
     ) -> Result<FixpointStats> {
         let mut stats = FixpointStats::default();
+        // Head predicates derived in this stratum; deltas are tracked per
+        // such predicate.
         let mut idb_preds: HashSet<String> = HashSet::new();
         for &rule_index in stratum {
             for atom in &rules[rule_index].head {
@@ -326,40 +273,50 @@ impl<'a> Evaluator<'a> {
             .copied()
             .partition(|&i| rules[i].agg.is_some());
 
-        // Seeded first round: every `(rule, positive-literal)` combination
-        // whose predicate has accumulated new tuples.  Aggregation rules
-        // whose bodies are untouched are skipped — recomputation would
-        // reproduce the stored values exactly (the previous fixpoint's final
-        // round recomputed them against this same state).
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        let empty_delta = HashMap::new();
+        let new_tuples = accumulated.as_deref().unwrap_or(&empty_delta);
         let mut combos: Vec<(usize, Option<usize>)> = Vec::new();
         for &rule_index in &normal_rules {
+            if accumulated.is_none() {
+                combos.push((rule_index, None));
+                continue;
+            }
             for (literal_index, literal) in rules[rule_index].body.iter().enumerate() {
                 let Literal::Pos(atom) = literal else {
                     continue;
                 };
                 let pred = runtime_pred_name(&atom.pred)?;
-                if accumulated.get(&pred).is_some_and(|set| !set.is_empty()) {
+                if new_tuples.get(&pred).is_some_and(|set| !set.is_empty()) {
                     combos.push((rule_index, Some(literal_index)));
                 }
             }
         }
-        for derivation in self.evaluate_round(rules, &combos, accumulated)? {
+        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
+        for derivation in self.evaluate_round(rules, &combos, new_tuples)? {
             stats.derived += self.insert_derivation(derivation, &mut delta)?;
         }
         for &rule_index in &agg_rules {
-            if !rule_touched(&rules[rule_index], accumulated) {
+            // A seeded round skips aggregation rules whose bodies are
+            // untouched — recomputation would reproduce the stored values
+            // exactly (the previous fixpoint's final round recomputed them
+            // against this same state).
+            if accumulated.is_some() && !rule_touched(&rules[rule_index], new_tuples) {
                 continue;
             }
             let derived = self.recompute_aggregate(rules, rule_index)?;
             stats.derived += self.insert_replacing(derived, &mut delta)?;
         }
         stats.iterations += 1;
-        merge_delta(accumulated, &delta);
 
-        // Semi-naïve iterations, exactly as in `run_stratum` (aggregates
-        // recompute every round once the stratum is in motion).
-        while delta.values().any(|d| !d.is_empty()) {
+        // Semi-naïve iterations (aggregates recompute every round once the
+        // stratum is in motion).
+        loop {
+            if let Some(accumulated) = accumulated.as_deref_mut() {
+                merge_delta(accumulated, &delta);
+            }
+            if !delta.values().any(|d| !d.is_empty()) {
+                return Ok(stats);
+            }
             if stats.iterations > self.config.max_iterations {
                 return Err(DatalogError::FixpointBudget {
                     iterations: self.config.max_iterations,
@@ -395,9 +352,7 @@ impl<'a> Evaluator<'a> {
             }
             delta = next_delta;
             stats.iterations += 1;
-            merge_delta(accumulated, &delta);
         }
-        Ok(stats)
     }
 
     /// Phase A of one round: evaluate every `(rule, delta-literal)`
@@ -448,10 +403,12 @@ impl<'a> Evaluator<'a> {
         let mut results: Vec<Option<Derivation>> = combos.iter().map(|_| None).collect();
         let mut jobs: Vec<Option<BatchJob>> = Vec::with_capacity(resolved.len());
         let mut pending: Vec<usize> = Vec::new();
+        let mut existential: Vec<usize> = Vec::new();
         for (index, &(rule_index, delta)) in resolved.iter().enumerate() {
             let rule = &rules[rule_index];
             if !rule.head_existentials().is_empty() {
                 jobs.push(None);
+                existential.push(index);
                 continue;
             }
             jobs.push(plans[index].as_ref().and_then(|plan| {
@@ -460,12 +417,17 @@ impl<'a> Evaluator<'a> {
             pending.push(index);
         }
 
-        // Serial part: head-existential combinations, in combination order.
-        for (index, &(rule_index, delta)) in resolved.iter().enumerate() {
-            if !rules[rule_index].head_existentials().is_empty() {
-                let derived = self.evaluate_rule(rules, rule_index, delta)?;
-                results[index] = Some(Derivation::Values(derived));
-            }
+        // Serial part: head-existential combinations, evaluated together so
+        // the round mints its entities in one canonical order.
+        let serial: Vec<_> = existential
+            .iter()
+            .map(|&index| (resolved[index].0, plans[index].as_ref(), resolved[index].1))
+            .collect();
+        for (&index, derived) in existential
+            .iter()
+            .zip(self.evaluate_existential(rules, &serial)?)
+        {
+            results[index] = Some(Derivation::Values(derived));
         }
 
         // Read-only part.
@@ -556,79 +518,114 @@ impl<'a> Evaluator<'a> {
         delta: Option<(usize, &HashSet<Tuple>)>,
     ) -> Result<Vec<(String, Tuple)>> {
         let rule = &rules[rule_index];
-        let existentials = rule.head_existentials();
+        let plan = self.prepare_plan(rules, rule_index, delta.as_ref().map(|(i, _)| *i));
+        if !rule.head_existentials().is_empty() {
+            let combo = (rule_index, plan.as_ref(), delta);
+            return Ok(self.evaluate_existential(rules, &[combo])?.swap_remove(0));
+        }
         // One observation per (rule, delta) batch execution — coarse enough
         // to stay inside the telemetry overhead budget.
         let _batch_timer =
             secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
-        let plan = self.prepare_plan(rules, rule_index, delta.as_ref().map(|(i, _)| *i));
+        evaluate_tuple_combo(
+            rule,
+            plan.as_ref(),
+            delta,
+            self.relations,
+            self.udfs,
+            self.plan_stats,
+            &self.config.exec,
+            self.pool,
+        )
+    }
 
-        if existentials.is_empty() {
-            return evaluate_tuple_combo(
-                rule,
-                plan.as_ref(),
-                delta,
-                self.relations,
-                self.udfs,
-                self.plan_stats,
-                &self.config.exec,
-                self.pool,
-            );
-        }
-        PlanStats::bump(&self.plan_stats.serial_batches);
-
-        let mut body_vars: Vec<String> = Vec::new();
-        for literal in &rule.body {
-            literal.collect_vars(&mut body_vars);
-        }
-        body_vars.sort();
-        body_vars.dedup();
-
-        let mut derived: Vec<(String, Tuple)> = Vec::new();
-        let ctx = JoinContext::with_stats(self.relations, self.udfs, self.plan_stats);
-        let mut solutions: Vec<Bindings> = Vec::new();
-        let mut bindings = Bindings::new();
-        let restriction = delta.map(|(index, tuples)| DeltaRestriction {
-            literal_index: index,
-            delta: DeltaTuples::Set(tuples),
-        });
-        match &plan {
-            Some(plan) => {
-                ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut |b| {
-                    solutions.push(b.clone());
-                    Ok(())
-                })?
+    /// Evaluate head-existential combinations together: join each, mint one entity per head-existential variable of
+    /// every binding not yet in the memo — in canonical `(rule, binding)`
+    /// order — then project heads.  Called once per round, this makes
+    /// ordinals depend only on the round's set of new bindings, not on
+    /// delta-set iteration order or on how the round's combinations split
+    /// them, so a seeded fixpoint numbers entities exactly as a full one
+    /// does (DESIGN.md §3).
+    fn evaluate_existential(
+        &mut self,
+        rules: &[Rule],
+        combos: &[ExistentialCombo<'_>],
+    ) -> Result<Vec<Vec<(String, Tuple)>>> {
+        let mut joined: Vec<Vec<(Bindings, Vec<Vec<Value>>)>> = Vec::new();
+        let mut fresh: Vec<(usize, Vec<Value>)> = Vec::new();
+        for &(rule_index, plan, delta) in combos {
+            let _batch_timer =
+                secureblox_telemetry::histogram!("datalog_rule_batch_join_ns").start_timer();
+            PlanStats::bump(&self.plan_stats.serial_batches);
+            let rule = &rules[rule_index];
+            let existentials = rule.head_existentials().len();
+            let mut body_vars: Vec<String> = Vec::new();
+            for literal in &rule.body {
+                literal.collect_vars(&mut body_vars);
             }
-            None => ctx.join(&rule.body, restriction, &mut bindings, &mut |b| {
-                solutions.push(b.clone());
+            body_vars.sort();
+            body_vars.dedup();
+            // Each solution with its memo keys: the body binding plus the
+            // variable's offset among the rule's existentials.
+            let mut solutions: Vec<(Bindings, Vec<Vec<Value>>)> = Vec::new();
+            let mut collect = |b: &Bindings| {
+                let binding: Vec<Value> =
+                    body_vars.iter().filter_map(|v| b.get(v).cloned()).collect();
+                let keys = (0..existentials)
+                    .map(|offset| [binding.as_slice(), &[Value::Int(offset as i64)]].concat())
+                    .collect();
+                solutions.push((b.clone(), keys));
                 Ok(())
-            })?,
+            };
+            let ctx = JoinContext::with_stats(self.relations, self.udfs, self.plan_stats);
+            let mut bindings = Bindings::new();
+            let restriction = delta.map(|(index, tuples)| DeltaRestriction {
+                literal_index: index,
+                delta: DeltaTuples::Set(tuples),
+            });
+            match plan {
+                Some(plan) => {
+                    ctx.join_planned(&rule.body, plan, restriction, &mut bindings, &mut collect)?
+                }
+                None => ctx.join(&rule.body, restriction, &mut bindings, &mut collect)?,
+            }
+            let memo = &*self.existential_memo;
+            fresh.extend(
+                solutions
+                    .iter()
+                    .flat_map(|(_, keys)| keys.iter().map(|key| (rule_index, key.clone())))
+                    .filter(|key| !memo.contains_key(key)),
+            );
+            joined.push(solutions);
         }
 
-        for mut solution in solutions {
-            // Mint (or recall) entities for head-existential variables.
-            let memo_key: Vec<Value> = body_vars
-                .iter()
-                .filter_map(|v| solution.get(v).cloned())
-                .collect();
-            for (offset, var) in existentials.iter().enumerate() {
-                let mut key = memo_key.clone();
-                key.push(Value::Int(offset as i64));
-                let entity_id = match self.existential_memo.entry((rule_index, key)) {
-                    std::collections::hash_map::Entry::Occupied(entry) => *entry.get(),
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        *self.entity_counter += 1;
-                        if let Some(journal) = self.journal.as_deref_mut() {
-                            journal.minted.push(entry.key().clone());
-                        }
-                        *entry.insert(*self.entity_counter)
-                    }
-                };
-                solution.bind(var, Value::Entity(entity_id));
+        fresh.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| tuple_total_cmp(&a.1, &b.1)));
+        fresh.dedup();
+        for key in fresh {
+            *self.entity_counter += 1;
+            if let Some(journal) = self.journal.as_deref_mut() {
+                journal.minted.push(key.clone());
             }
-            // Same head projection the combination paths use — one
-            // implementation, so the paths cannot drift.
-            derived.append(&mut exec::project_heads(rule, &solution, self.relations)?);
+            self.existential_memo.insert(key, *self.entity_counter);
+        }
+
+        let mut derived = Vec::with_capacity(combos.len());
+        for (&(rule_index, _, _), solutions) in combos.iter().zip(joined) {
+            let rule = &rules[rule_index];
+            let existentials = rule.head_existentials();
+            let mut heads: Vec<(String, Tuple)> = Vec::new();
+            for (mut solution, keys) in solutions {
+                for (var, key) in existentials.iter().zip(keys) {
+                    solution.bind(
+                        var,
+                        Value::Entity(self.existential_memo[&(rule_index, key)]),
+                    );
+                }
+                // Same head projection the combination paths use — one
+                // implementation, so the paths cannot drift.
+                heads.append(&mut exec::project_heads(rule, &solution, self.relations)?);
+            }
+            derived.push(heads);
         }
         Ok(derived)
     }

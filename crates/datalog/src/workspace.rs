@@ -609,10 +609,11 @@ impl Workspace {
     /// committed or rolled-back transaction and every DRed retraction leaves
     /// one), and every mutation is journaled so a constraint violation or FD
     /// conflict rolls back by reverse-replaying the journal.  Verdicts and
-    /// the resulting database are identical to [`Workspace::transaction`];
-    /// only the cost differs.  This is the streaming runtime's per-delta
-    /// apply step, keeping exact per-envelope acceptance semantics while a
-    /// drained batch amortizes flushes and scheduling.
+    /// the resulting database are identical to [`Workspace::transaction`],
+    /// head-existential entity ordinals included; only the cost differs.
+    /// This is the update stream's per-delta apply step, keeping exact
+    /// per-delta acceptance semantics while a drained batch amortizes
+    /// flushes and scheduling.
     ///
     /// Programs where a negated literal reads an aggregate head are not
     /// seedable (see `seedable`); those fall back to the snapshot path.
@@ -830,7 +831,7 @@ mod tests {
 
     /// Drive the same delta sequence through `transaction` and
     /// `transaction_incremental` on parallel workspaces, asserting identical
-    /// per-delta verdicts and identical final databases.
+    /// per-delta verdicts and identical databases after every step.
     fn assert_incremental_matches(source: &str, batches: &[Vec<(String, Tuple)>]) {
         let mut full = Workspace::new();
         full.install_source(source).unwrap();
@@ -859,64 +860,62 @@ mod tests {
                 assert_eq!(
                     full.query(&pred),
                     inc.query(&pred),
-                    "step {step}: {pred} diverged"
+                    "step {step}: {pred} diverged after {batch:?}"
                 );
             }
         }
     }
 
-    #[test]
-    fn transaction_incremental_matches_transaction() {
-        assert_incremental_matches(
-            "reachable(X, Y) <- link(X, Y).\n\
-             reachable(X, Y) <- link(X, Z), reachable(Z, Y).\n\
-             link(a, b).",
-            &[
-                vec![("link".into(), vec![s("b"), s("c")])],
-                vec![
-                    ("link".into(), vec![s("c"), s("d")]),
-                    ("link".into(), vec![s("d"), s("a")]),
-                ],
-                // Duplicate re-assertion: no new delta, nothing derived.
-                vec![("link".into(), vec![s("a"), s("b")])],
-            ],
-        );
-    }
+    /// Recursion over imported links behind a constraint that rejects a link
+    /// until both endpoints are known principals: per-batch verdicts are
+    /// order-sensitive (a rejected link commits once its principals land).
+    const GUARDED_REACH: &str = "says_link(P, Q) -> principal(P), principal(Q).\n\
+                                 link(X, Y) <- says_link(X, Y).\n\
+                                 reach(X, Y) <- link(X, Y).\n\
+                                 reach(X, Z) <- link(X, Y), reach(Y, Z).\n\
+                                 principal(n0).";
 
-    #[test]
-    fn transaction_incremental_matches_on_rejection_order() {
-        // The exact shape from the streaming engine: a delta that violates a
-        // constraint must be rejected in its own transaction even though a
-        // LATER delta would have satisfied it — per-delta verdicts are
-        // order-sensitive and the incremental path must preserve that.
-        assert_incremental_matches(
-            "says_link(P, Q) -> principal(P), principal(Q).\n\
-             link(X, Y) <- says_link(X, Y).\n\
-             principal(alice).",
-            &[
-                vec![("says_link".into(), vec![s("alice"), s("mallory")])], // rejected
-                vec![("principal".into(), vec![s("mallory")])],             // commits
-                vec![("says_link".into(), vec![s("alice"), s("mallory")])], // now commits
-            ],
-        );
-    }
+    /// A functional dependency that conflicts on a second value for a key,
+    /// plus aggregate displacement (min), head existentials and recursion.
+    const COST_PATHS: &str = "cost[X, Y] = C -> string(X), string(Y), int(C).\n\
+                              pathvar(P) -> .\n\
+                              pathvar(P), path(P, X, Y, C) <- cost[X, Y] = C.\n\
+                              best[X] = C <- agg<< C = min(Cx) >> path(_, X, _, Cx).\n\
+                              hop(X, Y) <- cost[X, Y] = _.\n\
+                              hop(X, Z) <- hop(X, Y), hop(Y, Z).\n\
+                              cost[n0, n1] = 5.";
 
-    #[test]
-    fn transaction_incremental_matches_with_aggregates_and_existentials() {
-        // Aggregate displacement (min over paths) plus head-existential
-        // minting, across commits and an FD rejection.
-        assert_incremental_matches(
-            "cost[X, Y] = C -> string(X), string(Y), int(C).\n\
-             pathvar(P) -> .\n\
-             pathvar(P), path(P, X, Y, C) <- cost[X, Y] = C.\n\
-             best[X] = C <- agg<< C = min(Cx) >> path(_, X, _, Cx).\n\
-             cost[a, b] = 5.",
-            &[
-                vec![("cost".into(), vec![s("a"), s("c"), Value::Int(3)])], // displaces best[a]
-                vec![("cost".into(), vec![s("a"), s("b"), Value::Int(1)])], // FD conflict: rolls back
-                vec![("cost".into(), vec![s("b"), s("c"), Value::Int(9)])],
-            ],
-        );
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// `transaction_incremental` — the update stream's receive-path
+        /// apply — reaches the same verdict and the same database as a full
+        /// `transaction` after every random insert batch.
+        #[test]
+        fn transaction_incremental_matches_transaction_on_random_batches(
+            program in 0u8..2,
+            steps in proptest::collection::vec(
+                proptest::collection::vec((0u8..3, 0u8..4, 0u8..4, 0i64..6), 1..4),
+                1..8,
+            ),
+        ) {
+            let cost_paths = program == 1;
+            let node = |i: u8| s(&format!("n{i}"));
+            let batches: Vec<Vec<(String, Tuple)>> = steps
+                .iter()
+                .map(|batch| {
+                    batch
+                        .iter()
+                        .map(|&(kind, a, b, c)| match (cost_paths, kind) {
+                            (true, _) => ("cost".into(), vec![node(a % 3), node(b % 3), Value::Int(c)]),
+                            (false, 0) => ("principal".into(), vec![node(a)]),
+                            (false, _) => ("says_link".into(), vec![node(a), node(b)]),
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_incremental_matches(if cost_paths { COST_PATHS } else { GUARDED_REACH }, &batches);
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! * the deterministic REACH app (no existentials, no FD races) is compared
 //!   **bit-for-bit** — relations, verdict counters, EDB Merkle roots —
-//!   across worker counts {1, 4}, reactor threads {1, 4}, streaming on/off,
-//!   and the durable recovery path;
+//!   across worker counts {1, 4}, reactor threads {1, 4}, the tightest
+//!   stream schedule (one delta per envelope, one credit) and a batching
+//!   one, and the durable recovery path;
 //! * random path-vector topologies are compared at **outcome** level
 //!   (routes found, bestcost entries, rejected batches): virtual time
 //!   advances by measured wall-clock compute, so message/transaction counts
@@ -148,15 +149,17 @@ fn run_durable_scenario(
 /// Reactor-mode delivery is bit-identical to the reference loop on a
 /// deterministic app: relations, verdicts, and Merkle roots all match, for
 /// serial and parallel fixpoints, 1 and 4 reactor threads, and with the
-/// streaming scheduler both off (per-envelope) and on (coalescing + credit).
+/// update stream both at its tightest (one delta per envelope, one credit)
+/// and coalescing under a wider credit window.
 #[test]
 fn reactor_durable_run_matches_reference_bit_for_bit() {
     for parallelism in [1usize, 4] {
         for streaming in [
-            StreamingConfig::disabled(),
+            StreamingConfig::with_knobs(1, 1),
             StreamingConfig::with_knobs(4, 8),
         ] {
-            let label = format!("base-w{parallelism}-s{}", streaming.enabled as u8);
+            let batch_max = streaming.batch_max;
+            let label = format!("base-w{parallelism}-s{batch_max}");
             let base_dir = fresh_dir(&label);
             let (baseline, _) = run_durable_scenario(
                 &base_dir,
@@ -167,10 +170,7 @@ fn reactor_durable_run_matches_reference_bit_for_bit() {
             let _ = std::fs::remove_dir_all(&base_dir);
 
             for threads in [1usize, 4] {
-                let dir = fresh_dir(&format!(
-                    "r{threads}-w{parallelism}-s{}",
-                    streaming.enabled as u8
-                ));
+                let dir = fresh_dir(&format!("r{threads}-w{parallelism}-s{batch_max}"));
                 let (reactor, _) = run_durable_scenario(
                     &dir,
                     ReactorConfig::with_threads(threads),
@@ -180,18 +180,15 @@ fn reactor_durable_run_matches_reference_bit_for_bit() {
                 let _ = std::fs::remove_dir_all(&dir);
                 assert_eq!(
                     reactor.0, baseline.0,
-                    "relations diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
+                    "relations diverged (threads={threads}, workers={parallelism}, batch={batch_max})"
                 );
                 assert_eq!(
                     reactor.1, baseline.1,
-                    "constraint verdicts diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
+                    "constraint verdicts diverged (threads={threads}, workers={parallelism}, batch={batch_max})"
                 );
                 assert_eq!(
                     reactor.2, baseline.2,
-                    "store Merkle roots diverged (threads={threads}, workers={parallelism}, streaming={})",
-                    streaming.enabled
+                    "store Merkle roots diverged (threads={threads}, workers={parallelism}, batch={batch_max})"
                 );
             }
         }
@@ -280,14 +277,15 @@ proptest! {
     /// On any random topology the protocol *outcome* — routes found, join
     /// entries, policy verdicts — is identical whether nodes take turns in
     /// the virtual-time loop or run wall-clock-parallel as reactor tasks,
-    /// with the streaming scheduler both off and on.  Scheduling counters
-    /// (total transactions / messages) are deliberately not compared:
-    /// virtual time advances by measured wall-clock compute, so duplicate
-    /// re-send counts vary between any two runs of the same scenario.
+    /// with the update stream both at its tightest and batching.  Scheduling
+    /// counters (total transactions / messages) are deliberately not
+    /// compared: virtual time advances by measured wall-clock compute, so
+    /// duplicate re-send counts vary between any two runs of the same
+    /// scenario.
     #[test]
     fn pathvector_outcome_is_independent_of_the_executor(num_nodes in 4usize..7,
                                                          seed in 0u64..1000) {
-        for streaming in [StreamingConfig::disabled(), StreamingConfig::with_knobs(16, 64)] {
+        for streaming in [StreamingConfig::with_knobs(1, 1), StreamingConfig::with_knobs(16, 64)] {
             let reference = run_pathvector(
                 num_nodes, seed, ReactorConfig::disabled(), streaming.clone());
             let reactor = run_pathvector(

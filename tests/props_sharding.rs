@@ -8,10 +8,10 @@
 //!
 //! * the union of every relation across the group (sorted, deduplicated) is
 //!   compared against the unsharded reference across partitions {1, 2, 4} ×
-//!   workers {1, 4} × streaming on/off, together with the constraint
-//!   verdicts;
+//!   workers {1, 4} × stream knobs {tightest, batching}, together with the
+//!   constraint verdicts;
 //! * at a fixed partitioning, the per-node EDB Merkle roots must be
-//!   bit-identical across workers × streaming — executor knobs must not
+//!   bit-identical across workers × stream knobs — executor knobs must not
 //!   change any partition's content;
 //! * a membership change ([`Deployment::apply_shard_map`]) must move only a
 //!   minority of tuples (consistent hashing), keep the global content
@@ -122,8 +122,7 @@ fn build_sharded(
     .unwrap()
 }
 
-/// The unsharded reference: one node holding every fact, serial, no
-/// streaming.
+/// The unsharded reference: one node holding every fact, serial.
 fn reference_unions(facts: Vec<(String, Tuple)>) -> Vec<(String, Vec<Tuple>)> {
     let mut spec = NodeSpec::new(principal_name(0));
     spec.base_facts = facts;
@@ -151,10 +150,10 @@ fn fresh_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// The tentpole equality: across partitions × workers × streaming, the union
-/// of every relation matches the unsharded reference, the verdicts are
-/// clean, and — at each fixed partitioning — the per-node Merkle roots are
-/// identical across executor knobs.
+/// The tentpole equality: across partitions × workers × stream knobs, the
+/// union of every relation matches the unsharded reference, the verdicts
+/// are clean, and — at each fixed partitioning — the per-node Merkle roots
+/// are identical across executor knobs.
 #[test]
 fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
     let reference = reference_unions(base_facts());
@@ -167,7 +166,7 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
         let mut roots_by_knobs: Vec<Vec<(String, String)>> = Vec::new();
         for workers in [1usize, 4] {
             for streaming in [
-                StreamingConfig::disabled(),
+                StreamingConfig::with_knobs(1, 1),
                 StreamingConfig::with_knobs(16, 64),
             ] {
                 let dir = fresh_dir(&format!("grid-p{partitions}-w{workers}"));
@@ -186,8 +185,8 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
                     reference,
                     "unions diverged from the unsharded reference \
                      (partitions={partitions}, workers={workers}, \
-                      streaming={})",
-                    streaming.enabled
+                      batch={})",
+                    streaming.batch_max
                 );
                 let shard_view = report.shard.expect("sharded run reports the shard plane");
                 assert_eq!(shard_view.partitions, partitions);
@@ -208,7 +207,7 @@ fn sharded_unions_match_unsharded_across_partitions_workers_streaming() {
         for roots in &roots_by_knobs[1..] {
             assert_eq!(
                 roots, &roots_by_knobs[0],
-                "per-node Merkle roots diverged across workers/streaming at partitions={partitions}"
+                "per-node Merkle roots diverged across workers/stream knobs at partitions={partitions}"
             );
         }
     }
@@ -228,7 +227,7 @@ fn ingest_routes_to_ring_owners_and_preserves_equality() {
     all_facts.extend(extra.clone());
     let reference = reference_unions(all_facts);
 
-    let mut deployment = build_sharded(4, 1, StreamingConfig::disabled(), base_facts());
+    let mut deployment = build_sharded(4, 1, StreamingConfig::with_knobs(1, 1), base_facts());
     deployment.run().unwrap();
     deployment.ingest(extra.clone()).unwrap();
     deployment.run().unwrap();
@@ -371,7 +370,7 @@ proptest! {
         }
         facts.push(("boost".to_string(), vec![Value::Int(10)]));
         let reference = reference_unions(facts.clone());
-        let mut deployment = build_sharded(2, 1, StreamingConfig::disabled(), facts);
+        let mut deployment = build_sharded(2, 1, StreamingConfig::with_knobs(1, 1), facts);
         deployment.run().unwrap();
         prop_assert_eq!(unions(&deployment), reference);
     }

@@ -1,24 +1,26 @@
 //! The streaming scheduler is semantics-free: batched, annihilated,
 //! credit-backpressured delivery must produce exactly the same relations,
-//! the same constraint verdicts, and the same store Merkle roots as the
-//! per-envelope delivery path.  Batching changes *when* deltas travel and
-//! how many envelopes carry them — never what the receivers end up knowing.
+//! the same constraint verdicts, and the same store Merkle roots whatever
+//! its knobs.  The reference is the tightest schedule,
+//! `StreamingConfig::with_knobs(1, 1)`: one delta per envelope and a credit
+//! window of one, so every delta stalls until the previous one is acked.
+//! Batching changes *when* deltas travel and how many envelopes carry them
+//! — never what the receivers end up knowing.
 //!
 //! Two comparison regimes, matching `props_telemetry.rs`:
 //!
 //! * the deterministic REACH app (no existentials, no FD races) is compared
 //!   **bit-for-bit** — every relation, every verdict counter, every EDB
-//!   Merkle root — across worker counts {1, 4} and a spread of
-//!   batch/credit-window knobs including a credit window of 1 (maximum
-//!   backpressure: every delta stalls until the previous one is acked);
+//!   Merkle root — across worker counts {1, 4}, the tightest schedule
+//!   against squeezed and default knobs;
 //! * random path-vector topologies are compared at **outcome** level
 //!   (routes found, bestcost entries, rejected batches): virtual time
 //!   advances by measured wall-clock compute, so message/transaction counts
 //!   legitimately differ between any two runs of the same scenario.
 //!
-//! The durable REACH scenario also exercises recovery: a streaming-mode WAL
-//! (one record group per delta transaction, exactly as on the per-envelope
-//! path) must replay to the same state the live deployment held.
+//! The durable REACH scenario also exercises recovery: the WAL (one record
+//! group per delta transaction, however the deltas were batched) must
+//! replay to the same state the live deployment held.
 
 use proptest::prelude::*;
 use secureblox::apps::pathvector;
@@ -141,20 +143,26 @@ fn run_durable_scenario(
     (snap, deployment)
 }
 
-/// Batched/backpressured delivery is bit-identical to per-envelope delivery
+/// Batched/backpressured delivery is bit-identical to the tightest schedule
 /// on a deterministic app: relations, verdicts, and Merkle roots all match,
 /// for serial and parallel fixpoints and across batching knobs from
-/// "degenerate" (batch of 1, credit window 1 — every delta individually
-/// acked) to "greedy" (the shipped defaults).
+/// squeezed to "greedy" (the shipped defaults), each against the
+/// "degenerate" batch of 1 with credit window 1 (every delta individually
+/// acked).
 #[test]
-fn streaming_durable_run_matches_per_envelope_bit_for_bit() {
+fn streaming_durable_run_is_knob_invariant_bit_for_bit() {
+    let defaults = StreamingConfig::default();
     for parallelism in [1usize, 4] {
         let base_dir = fresh_dir(&format!("base-w{parallelism}"));
         let (baseline, _) =
-            run_durable_scenario(&base_dir, StreamingConfig::disabled(), parallelism);
+            run_durable_scenario(&base_dir, StreamingConfig::with_knobs(1, 1), parallelism);
         let _ = std::fs::remove_dir_all(&base_dir);
 
-        for (batch_max, high_water) in [(1usize, 1usize), (4, 8), (64, 256)] {
+        for (batch_max, high_water) in [
+            (4usize, 8usize),
+            (8, 32),
+            (defaults.batch_max, defaults.queue_high_water),
+        ] {
             let dir = fresh_dir(&format!("s{batch_max}-{high_water}-w{parallelism}"));
             let (streamed, _) = run_durable_scenario(
                 &dir,
@@ -178,9 +186,9 @@ fn streaming_durable_run_matches_per_envelope_bit_for_bit() {
     }
 }
 
-/// A streaming-mode WAL replays faithfully: recovery re-applies the logged
-/// record groups as the original per-delta transactions, landing on the same
-/// relations and Merkle roots the live deployment held.
+/// A WAL written under batching replays faithfully: recovery re-applies the
+/// logged record groups as the original per-delta transactions, landing on
+/// the same relations and Merkle roots the live deployment held.
 #[test]
 fn recovery_replays_streaming_batch_wal_records_in_order() {
     let streaming = StreamingConfig::with_knobs(8, 32);
@@ -215,9 +223,9 @@ fn recovery_replays_streaming_batch_wal_records_in_order() {
 /// An app whose import acceptance is ORDER-SENSITIVE: an imported `edge`
 /// only satisfies its constraint once both endpoint `vertex` facts are
 /// known, and the export scan (sorted by predicate name) ships `says$edge`
-/// *before* `says$vertex` in the same flush.  The per-envelope path rejects
-/// the edge delta permanently — its transaction runs before the vertices
-/// arrive, and the sender's `sent` cursor never re-ships it.
+/// *before* `says$vertex` in the same flush.  One delta per envelope, the
+/// edge delta is rejected permanently — its transaction runs before the
+/// vertices arrive, and the sender's `sent` cursor never re-ships it.
 const ORDER_APP: &str = r#"
     vertex(N) -> node(N).
     edge(N1, N2) -> node(N1), node(N2).
@@ -268,26 +276,26 @@ fn run_order_scenario(streaming: StreamingConfig) -> (Vec<Tuple>, Vec<Tuple>, us
 /// The regression locked in by the review: a coalesced envelope carrying
 /// [`says$edge(a,b)`, `says$vertex(a)`, `says$vertex(b)`] must NOT accept
 /// the edge just because the vertices ride in the same batch.  Per-delta
-/// verdicts are order-sensitive, and streaming must reproduce the
-/// per-envelope path's rejection exactly — a combined whole-batch
+/// verdicts are order-sensitive, and a coalesced envelope must reproduce
+/// the one-delta-per-envelope rejection exactly — a combined whole-batch
 /// transaction would commit and silently widen policy acceptance.
 #[test]
 fn coalesced_envelope_keeps_per_delta_rejection_semantics() {
-    let per_envelope = run_order_scenario(StreamingConfig::disabled());
+    let tightest = run_order_scenario(StreamingConfig::with_knobs(1, 1));
     // The edge is rejected (its endpoints are unknown when it applies) and
     // never re-shipped; the vertices land.
-    assert_eq!(per_envelope.0, Vec::<Tuple>::new());
+    assert_eq!(tightest.0, Vec::<Tuple>::new());
     assert_eq!(
-        per_envelope.1,
+        tightest.1,
         vec![vec![Value::str("n0")], vec![Value::str("n1")]]
     );
-    assert!(per_envelope.2 >= 1, "edge delta must be rejected");
+    assert!(tightest.2 >= 1, "edge delta must be rejected");
 
     for (batch_max, high_water) in [(4usize, 16usize), (64, 256)] {
         let streamed = run_order_scenario(StreamingConfig::with_knobs(batch_max, high_water));
         assert_eq!(
-            streamed, per_envelope,
-            "streaming (batch={batch_max}, window={high_water}) diverged from per-envelope"
+            streamed, tightest,
+            "streaming (batch={batch_max}, window={high_water}) diverged from one delta per envelope"
         );
     }
 }
@@ -339,19 +347,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// On any random topology the protocol *outcome* — routes found, join
-    /// entries, policy verdicts — is identical whether deltas travel one
-    /// envelope per flush or coalesced under credit-based backpressure.
+    /// entries, policy verdicts — is identical whether deltas travel one per
+    /// envelope under a credit window of one or coalesced under a wide one.
     /// Scheduling counters (total transactions / messages) are deliberately
     /// not compared: virtual time advances by measured wall-clock compute,
     /// so duplicate-resend counts vary between any two runs of the same
-    /// scenario, streaming or not.
+    /// scenario, whatever the knobs.
     #[test]
     fn pathvector_outcome_is_independent_of_streaming(num_nodes in 4usize..7,
                                                       seed in 0u64..1000) {
-        let per_envelope = run_pathvector(num_nodes, seed, StreamingConfig::disabled());
+        let tightest = run_pathvector(num_nodes, seed, StreamingConfig::with_knobs(1, 1));
         let streamed = run_pathvector(num_nodes, seed, StreamingConfig::with_knobs(16, 64));
-        prop_assert_eq!(streamed.0, per_envelope.0);
-        prop_assert_eq!(streamed.1, per_envelope.1);
-        prop_assert_eq!(streamed.2, per_envelope.2);
+        prop_assert_eq!(streamed.0, tightest.0);
+        prop_assert_eq!(streamed.1, tightest.1);
+        prop_assert_eq!(streamed.2, tightest.2);
     }
 }
