@@ -26,8 +26,7 @@
 //! working directory).  CI's regression gate compares the aggregate
 //! updates/sec at 6 nodes against the committed artifact.
 //! `CRITERION_QUICK=1` runs the 6-node point only and tags the report so
-//! the gate skips monotonicity; `SECUREBLOX_SHARD_BENCH_NODES` overrides
-//! the sweep.
+//! the gate skips monotonicity.
 
 use secureblox::apps::hashjoin::{
     expected_join_size, generate_tables, principal_name, HashJoinConfig,
@@ -139,31 +138,6 @@ fn run_sharded(n: usize, trial: usize) -> ShardedResult {
         exchanged += deployment.query(principal, "shard_xchg_c1_tableB").len();
     }
     let shard_view = report.shard.expect("sharded run reports the shard plane");
-    if std::env::var_os("SECUREBLOX_SHARD_BENCH_DEBUG").is_some() {
-        eprintln!(
-            "  n={n} txns {} p50 {:?} p99 {:?}",
-            report.total_transactions, report.apply_latency_p50, report.apply_latency_p99
-        );
-        let mut conv = report.convergence_times.clone();
-        conv.sort();
-        eprintln!(
-            "  conv min {:?} p50 {:?} max {:?}",
-            conv.first(),
-            conv.get(conv.len() / 2),
-            conv.last()
-        );
-        let mut spans: Vec<_> = report.telemetry.clone();
-        spans.sort_by_key(|s| std::cmp::Reverse(s.sum));
-        for s in spans.iter().take(12) {
-            eprintln!(
-                "    {:<44} count {:>7} sum {:>8.1}ms p50 {:>9}ns",
-                s.name,
-                s.count,
-                s.sum as f64 / 1e6,
-                s.p50
-            );
-        }
-    }
     let result = ShardedResult {
         virtual_latency: report.fixpoint_latency,
         exchanged,
@@ -201,14 +175,7 @@ fn sorted(mut tuples: Vec<Tuple>) -> Vec<Tuple> {
 
 fn main() {
     let quick = std::env::var_os("CRITERION_QUICK").is_some();
-    let node_counts: Vec<usize> = match std::env::var("SECUREBLOX_SHARD_BENCH_NODES") {
-        Ok(spec) => spec
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect(),
-        Err(_) if quick => vec![6],
-        Err(_) => vec![6, 18, 36],
-    };
+    let node_counts: Vec<usize> = if quick { vec![6] } else { vec![6, 18, 36] };
 
     let mut entries = Vec::new();
     let mut update_rates = Vec::new();

@@ -31,6 +31,7 @@ use crate::runtime::codec::{serialize_tuple, DeltaOp, UpdateDelta, UpdateEnvelop
 use crate::runtime::reactor::ReactorConfig;
 use crate::runtime::replication::ReplicaState;
 use crate::runtime::shard::{self, ShardMap, ShardReport};
+use crate::runtime::stats::{self, NodeStats};
 use crate::runtime::stream::{
     LinkOutbox, StreamingConfig, DEFAULT_BATCH_MAX, DEFAULT_QUEUE_HIGH_WATER,
 };
@@ -43,7 +44,6 @@ use secureblox_datalog::error::{DatalogError, Result};
 use secureblox_datalog::eval::shuffle::{is_exchange_pred, ExchangeSummary};
 use secureblox_datalog::value::{tuple_total_cmp, Tuple, Value};
 use secureblox_datalog::{column_set, EvalConfig, EvalOptions, PlanStatsSnapshot, Workspace};
-use secureblox_net::stats::TimingStats;
 use secureblox_net::{
     LatencyModel, Message, MessageKind, NodeId, NodeInfo, SimNetwork, VirtualTime,
 };
@@ -210,8 +210,8 @@ fn env_count(name: &str, default: usize) -> usize {
 }
 
 /// Whether a message kind spends the non-convergence budget.  Control
-/// traffic (credit grants, bootstrap markers) is caused by — and bounded by —
-/// data-plane deliveries, so only the latter count.
+/// traffic (credit grants) is caused by — and bounded by — data-plane
+/// deliveries, so only the latter count.
 pub(crate) fn is_data_plane(kind: MessageKind) -> bool {
     matches!(
         kind,
@@ -338,6 +338,9 @@ pub(crate) struct NodeState {
     /// this node shipped on the update stream — the wire cost of the shard
     /// plane, separated from ordinary `says` traffic.
     pub(crate) exchange_bytes: usize,
+    /// This node's transactions, verdicts and sent traffic, recorded by its
+    /// own engine context under either executor.
+    pub(crate) stats: NodeStats,
     /// This node's per-destination sender outboxes
     /// (coalescing + credit).  A `BTreeMap` so the quiescence force-flush
     /// walks links in a deterministic order (the reference executor's
@@ -364,7 +367,6 @@ pub(crate) struct EngineShared {
 pub struct Deployment {
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) network: SimNetwork,
-    pub(crate) timing: TimingStats,
     pub(crate) config: DeploymentConfig,
     pub(crate) shared: EngineShared,
     exportable: Vec<String>,
@@ -378,8 +380,8 @@ pub struct Deployment {
 
 /// Where a node context's outbound messages go.  The reference executor
 /// passes the [`SimNetwork`] itself; the reactor substitutes a per-task sink
-/// that computes delivery times locally, records into a per-task statistics
-/// shard, and enqueues into the concurrent [`secureblox_net::LinkLanes`].
+/// that computes delivery times locally and enqueues into the concurrent
+/// [`secureblox_net::LinkLanes`].
 pub(crate) trait NetSink {
     /// Latency-modelled send; returns the delivery time.
     fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime;
@@ -398,19 +400,18 @@ impl NetSink for SimNetwork {
     }
 }
 
-/// One node's engine context: exclusive access to that node's state plus the
-/// shared immutable deployment state, an outbound [`NetSink`], and a timing
-/// recorder.  Every per-node operation — transactions, export flushes,
-/// delivery handlers — lives here, so the virtual-time reference loop and the
-/// reactor's worker tasks drive *identical* logic and differ only in how they
-/// schedule nodes and route messages.
+/// One node's engine context: exclusive access to that node's state (its
+/// statistics included) plus the shared immutable deployment state and an
+/// outbound [`NetSink`].  Every per-node operation — transactions, export
+/// flushes, delivery handlers — lives here, so the virtual-time reference
+/// loop and the reactor's worker tasks drive *identical* logic and differ
+/// only in how they schedule nodes and route messages.
 pub(crate) struct NodeCtx<'a> {
     pub(crate) index: usize,
     pub(crate) node: &'a mut NodeState,
     pub(crate) shared: &'a EngineShared,
     pub(crate) config: &'a DeploymentConfig,
     pub(crate) net: &'a mut dyn NetSink,
-    pub(crate) timing: &'a mut TimingStats,
 }
 
 impl Deployment {
@@ -600,6 +601,7 @@ impl Deployment {
                 last_update_seq_in: HashMap::new(),
                 stream_seq: HashMap::new(),
                 exchange_bytes: 0,
+                stats: NodeStats::default(),
                 outboxes: BTreeMap::new(),
             });
         }
@@ -637,12 +639,10 @@ impl Deployment {
             });
         }
 
-        let network = SimNetwork::new(specs.len(), config.latency.clone());
-        let timing = TimingStats::new(specs.len());
+        let network = SimNetwork::new(config.latency.clone());
         let mut deployment = Deployment {
             nodes,
             network,
-            timing,
             config,
             shared: EngineShared {
                 principals,
@@ -698,8 +698,9 @@ impl Deployment {
             .principal_index
             .get(principal)
             .map(|&i| {
-                self.timing
-                    .completions(NodeId(i as u32))
+                self.nodes[i]
+                    .stats
+                    .completion_times
                     .iter()
                     .map(|&t| Duration::from_nanos(t))
                     .collect()
@@ -732,7 +733,7 @@ impl Deployment {
                 .log_retracts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
                 .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
         }
-        self.timing.record_retraction(NodeId(index as u32), finish);
+        self.nodes[index].stats.record_retraction(finish);
         self.nodes[index].needs_retraction_scan = true;
         self.node_ctx(index).flush_updates(finish)
     }
@@ -747,7 +748,6 @@ impl Deployment {
             shared: &self.shared,
             config: &self.config,
             net: &mut self.network,
-            timing: &mut self.timing,
         }
     }
 
@@ -763,16 +763,16 @@ impl Deployment {
     /// on-path adversary gets on a real network.  The receiver's defenses
     /// (sequence watermark, signature constraints) must hold against it; see
     /// the `stale_seq_replay_is_rejected_even_out_of_order` regression test.
+    /// The payload's wire bytes are charged to `from`, like any send.
     pub fn inject_message(&mut self, from: usize, to: usize, payload: Vec<u8>) {
-        self.network.send(
-            Message::new(
-                NodeId(from as u32),
-                NodeId(to as u32),
-                MessageKind::Update,
-                payload,
-            ),
-            0,
+        let message = Message::new(
+            NodeId(from as u32),
+            NodeId(to as u32),
+            MessageKind::Update,
+            payload,
         );
+        self.nodes[from].stats.record_send(&message);
+        self.network.send(message, 0);
     }
 
     /// Run to the distributed fixpoint: no batches pending and no messages in
@@ -829,16 +829,13 @@ impl Deployment {
     /// the busiest links.  Shared by both executors.
     pub(crate) fn budget_exceeded_error(&self) -> DatalogError {
         let message_budget = self.config.message_budget;
-        let busiest: Vec<String> = self
-            .network
-            .stats()
-            .busiest_links(3)
+        let busiest: Vec<String> = stats::busiest_links(self.nodes.iter().map(|n| &n.stats), 3)
             .into_iter()
             .map(|(from, to, traffic)| {
                 format!(
                     "{}->{} ({} msgs, {} bytes)",
-                    self.nodes[from.index()].info.principal,
-                    self.nodes[to.index()].info.principal,
+                    self.nodes[from].info.principal,
+                    self.nodes[to].info.principal,
                     traffic.messages,
                     traffic.bytes
                 )
@@ -852,39 +849,36 @@ impl Deployment {
         ))
     }
 
-    /// Summarize the run.
+    /// Summarize the run: a fold over every node's statistics, plus the
+    /// summed planner counters and every histogram the run touched.
     pub fn report(&self) -> DeploymentReport {
-        let stats = self.network.stats();
+        let node_stats = || self.nodes.iter().map(|node| &node.stats);
         let plan = self.plan_stats();
         let workers = self.config.parallelism.max(1);
-        // Publish the summed planner counters and per-node traffic to the
-        // global registry as gauge views, then snapshot every histogram the
-        // run touched into the report's telemetry section.
-        plan.publish_to_registry();
-        stats.publish_to_registry();
+        let durations = stats::sorted_durations(node_stats());
+        let per_node_bytes: Vec<usize> = node_stats().map(NodeStats::bytes_sent).collect();
         DeploymentReport {
             label: self.config.security.label(),
             num_nodes: self.nodes.len(),
-            fixpoint_latency: Duration::from_nanos(self.timing.fixpoint_time()),
-            average_transaction: self.timing.average_transaction_duration(),
-            per_node_kb: stats.average_per_node_kb(),
-            total_transactions: self.timing.total_transactions(),
-            rejected_batches: self.timing.total_rejections(),
-            conflicting_batches: self.timing.total_conflicts(),
-            retractions_applied: self.timing.total_retractions(),
-            convergence_times: self
-                .timing
-                .convergence_times()
-                .iter()
-                .map(|&t| Duration::from_nanos(t))
+            fixpoint_latency: Duration::from_nanos(
+                node_stats().map(|s| s.last_activity).max().unwrap_or(0),
+            ),
+            average_transaction: stats::mean_duration(&durations),
+            per_node_kb: stats::mean_kb(&per_node_bytes),
+            total_transactions: durations.len(),
+            rejected_batches: node_stats().map(|s| s.rejected_batches).sum(),
+            conflicting_batches: node_stats().map(|s| s.conflicting_batches).sum(),
+            retractions_applied: node_stats().map(|s| s.retractions_applied).sum(),
+            convergence_times: node_stats()
+                .map(|s| Duration::from_nanos(s.last_activity))
                 .collect(),
-            per_node_bytes: stats.nodes().iter().map(|n| n.bytes_sent).collect(),
-            total_messages: stats.nodes().iter().map(|n| n.messages_sent).sum(),
+            per_node_bytes,
+            total_messages: node_stats().map(NodeStats::messages_sent).sum(),
             plan,
             workers,
             worker_utilization: plan.worker_utilization(workers),
-            apply_latency_p50: self.timing.transaction_duration_percentile(0.5),
-            apply_latency_p99: self.timing.transaction_duration_percentile(0.99),
+            apply_latency_p50: stats::percentile(&durations, 0.5),
+            apply_latency_p99: stats::percentile(&durations, 0.99),
             shard: self.shard_report(),
             telemetry: secureblox_telemetry::histogram_summaries(),
         }
@@ -1005,23 +999,20 @@ impl NodeCtx<'_> {
                         .log_inserts(batch.iter().map(|(p, t)| (p.as_str(), t)), finish)
                         .map_err(|e| DatalogError::Eval(format!("durability: {e}")))?;
                 }
-                self.timing
-                    .record_transaction(NodeId(self.index as u32), elapsed, finish);
+                self.node.stats.record_transaction(elapsed, finish);
                 Ok(true)
             }
             Err(DatalogError::ConstraintViolation(_)) => {
                 // The paper's semantics: the whole batch (including the input
                 // tuples) rolls back; the sender is not notified.
-                self.timing
-                    .record_rejection(NodeId(self.index as u32), finish);
+                self.node.stats.record_rejection(finish);
                 Ok(false)
             }
             Err(DatalogError::FunctionalDependency { .. }) => {
                 // Same rollback semantics, but counted separately: this is a
                 // data-level duplicate (e.g. a second composition for an
                 // already-known path entity), not a policy refusing the batch.
-                self.timing
-                    .record_conflict(NodeId(self.index as u32), finish);
+                self.node.stats.record_conflict(finish);
                 Ok(false)
             }
             Err(other) => Err(other),
@@ -1204,7 +1195,7 @@ impl NodeCtx<'_> {
             self.drain_outbox(dest, send_time, false)?;
         }
         for (_, message) in anon_outgoing {
-            self.net.send_fifo(message, send_time);
+            self.send(message, send_time, true);
         }
         Ok(())
     }
@@ -1253,6 +1244,19 @@ impl NodeCtx<'_> {
         }
     }
 
+    /// Every send this node makes: charge `message` to the node's traffic
+    /// statistics, then hand it to the network — on its link's FIFO stream
+    /// when `fifo`, else as a plain latency-modelled send (credit grants,
+    /// which are cumulative counts and order-free).
+    fn send(&mut self, message: Message, now: VirtualTime, fifo: bool) {
+        self.node.stats.record_send(&message);
+        if fifo {
+            self.net.send_fifo(message, now);
+        } else {
+            self.net.send(message, now);
+        }
+    }
+
     /// Encode (and, under AES, encrypt) one update-stream envelope and send
     /// it on the link's FIFO stream.
     fn ship_envelope(
@@ -1287,7 +1291,7 @@ impl NodeCtx<'_> {
                 .map_err(|e| DatalogError::Eval(e.to_string()))?;
             payload = aes128_ctr_encrypt(secret, &payload);
         }
-        self.net.send_fifo(
+        self.send(
             Message::new(
                 NodeId(self.index as u32),
                 NodeId(dest as u32),
@@ -1295,6 +1299,7 @@ impl NodeCtx<'_> {
                 payload,
             ),
             send_time,
+            true,
         );
         Ok(())
     }
@@ -1435,7 +1440,6 @@ impl NodeCtx<'_> {
             MessageKind::Update => self.deliver_update(message, arrival),
             MessageKind::AnonForward => self.deliver_anon_forward(message, arrival),
             MessageKind::AnonBackward => self.deliver_anon_backward(message, arrival),
-            MessageKind::Bootstrap => Ok(()),
             MessageKind::Credit => self.deliver_credit(message, arrival),
         }
     }
@@ -1446,7 +1450,7 @@ impl NodeCtx<'_> {
     fn deliver_credit(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let Some(granted) = secureblox_net::message::decode_credit(&message.payload) else {
             // Malformed grant — drop it rather than trusting the count.
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         // The grant is addressed to the sender side of the data stream: this
@@ -1489,7 +1493,7 @@ impl NodeCtx<'_> {
             match aes128_ctr_decrypt(secret, &payload) {
                 Ok(plain) => payload = plain,
                 Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
+                    self.node.stats.record_rejection(arrival);
                     return Ok(());
                 }
             }
@@ -1497,7 +1501,7 @@ impl NodeCtx<'_> {
         let envelope = match UpdateEnvelope::decode(&payload) {
             Ok(envelope) => envelope,
             Err(_) => {
-                self.timing.record_rejection(message.to, arrival);
+                self.node.stats.record_rejection(arrival);
                 return Ok(());
             }
         };
@@ -1550,7 +1554,7 @@ impl NodeCtx<'_> {
                         && delta.tuple[1].as_str() == Some(to_principal.as_str())
                         && self.verify_update_signature(&from_principal, &to_principal, delta)?;
                     if !authorized {
-                        self.timing.record_rejection(message.to, arrival);
+                        self.node.stats.record_rejection(arrival);
                         continue;
                     }
                     accepted = true;
@@ -1570,7 +1574,7 @@ impl NodeCtx<'_> {
             // (unordered) message: grants are cumulative counts, order-free.
             let send_at = arrival.max(self.node.available_at);
             secureblox_telemetry::counter!("engine_stream_credits_total").inc();
-            self.net.send(
+            self.send(
                 Message::new(
                     message.to,
                     message.from,
@@ -1578,6 +1582,7 @@ impl NodeCtx<'_> {
                     secureblox_net::message::encode_credit(envelope.deltas.len() as u64),
                 ),
                 send_at,
+                false,
             );
         }
         if accepted {
@@ -1661,21 +1666,18 @@ impl NodeCtx<'_> {
                 secureblox_telemetry::counter!("engine_retraction_cascades_total").inc();
                 secureblox_telemetry::histogram!("engine_retraction_deleted_facts")
                     .record((stats.base_deleted + stats.over_deleted) as u64);
-                self.timing
-                    .record_retraction(NodeId(self.index as u32), finish);
+                self.node.stats.record_retraction(finish);
                 self.node.needs_retraction_scan = true;
                 Ok(true)
             }
             Err(DatalogError::ConstraintViolation(_)) => {
                 // Deleting the fact would violate a constraint: the whole
                 // retraction rolls back, mirroring assert-batch semantics.
-                self.timing
-                    .record_rejection(NodeId(self.index as u32), finish);
+                self.node.stats.record_rejection(finish);
                 Ok(false)
             }
             Err(DatalogError::FunctionalDependency { .. }) => {
-                self.timing
-                    .record_conflict(NodeId(self.index as u32), finish);
+                self.node.stats.record_conflict(finish);
                 Ok(false)
             }
             Err(other) => Err(other),
@@ -1711,7 +1713,7 @@ impl NodeCtx<'_> {
     fn deliver_anon_forward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
         let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         let Some(circuit) = self
@@ -1721,12 +1723,12 @@ impl NodeCtx<'_> {
             .find(|c| c.id == circuit_id)
             .cloned()
         else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         let key = circuit.keys.get(hop as usize).cloned().unwrap_or_default();
         let Ok(peeled) = aes128_ctr_decrypt(&key, &body) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         let is_endpoint = (hop as usize) == circuit.relays.len();
@@ -1735,7 +1737,7 @@ impl NodeCtx<'_> {
             let envelope = match UpdateEnvelope::decode(&peeled) {
                 Ok(envelope) => envelope,
                 Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
+                    self.node.stats.record_rejection(arrival);
                     return Ok(());
                 }
             };
@@ -1760,14 +1762,14 @@ impl NodeCtx<'_> {
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
+        self.send(forward, send_at, true);
         Ok(())
     }
 
     fn deliver_anon_backward(&mut self, message: Message, arrival: VirtualTime) -> Result<()> {
         let here = self.index;
         let Some((circuit_id, hop, body)) = decode_anon_cell(&message.payload) else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         let Some(circuit) = self
@@ -1777,7 +1779,7 @@ impl NodeCtx<'_> {
             .find(|c| c.id == circuit_id)
             .cloned()
         else {
-            self.timing.record_rejection(message.to, arrival);
+            self.node.stats.record_rejection(arrival);
             return Ok(());
         };
         if hop == u32::MAX || here == circuit.initiator {
@@ -1788,7 +1790,7 @@ impl NodeCtx<'_> {
                 match aes128_ctr_decrypt(key, &plain) {
                     Ok(next) => plain = next,
                     Err(_) => {
-                        self.timing.record_rejection(message.to, arrival);
+                        self.node.stats.record_rejection(arrival);
                         return Ok(());
                     }
                 }
@@ -1796,7 +1798,7 @@ impl NodeCtx<'_> {
             let envelope = match UpdateEnvelope::decode(&plain) {
                 Ok(envelope) => envelope,
                 Err(_) => {
-                    self.timing.record_rejection(message.to, arrival);
+                    self.node.stats.record_rejection(arrival);
                     return Ok(());
                 }
             };
@@ -1820,7 +1822,7 @@ impl NodeCtx<'_> {
         );
         let send_at = arrival.max(self.node.available_at);
         self.node.available_at = send_at;
-        self.net.send_fifo(forward, send_at);
+        self.send(forward, send_at, true);
         Ok(())
     }
 }
@@ -1862,6 +1864,8 @@ fn decode_anon_cell(payload: &[u8]) -> Option<(u64, u32, Vec<u8>)> {
 mod tests {
     use super::*;
     use crate::policy::{SecurityConfig, TrustModel};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use secureblox_crypto::{AuthScheme, EncScheme};
 
     /// A two-node "reachability gossip" application: each node says its links
@@ -1913,6 +1917,38 @@ mod tests {
         assert!(report.total_messages >= 2);
         assert!(report.fixpoint_latency > Duration::ZERO);
         assert!(report.per_node_kb > 0.0);
+        // The report folds the nodes' statistics: the fixpoint is the last
+        // node to go quiet, and the per-node KB is the mean of sent bytes.
+        assert_eq!(
+            report.convergence_times.iter().max(),
+            Some(&report.fixpoint_latency)
+        );
+        let mean_kb = report.per_node_bytes.iter().sum::<usize>() as f64 / 1024.0 / 2.0;
+        assert!((report.per_node_kb - mean_kb).abs() < 1e-12);
+        assert!(report.total_transactions >= 2);
+        assert!(report.average_transaction > Duration::ZERO);
+        assert!(report.apply_latency_p50 <= report.apply_latency_p99);
+        // The convergence CDF is monotone and ends at 1, for this run's
+        // times and for arbitrary ones.
+        let mut report = report;
+        let mut rng = StdRng::seed_from_u64(7);
+        for round in 0..16 {
+            let samples = rng.gen_range(2..50usize);
+            let cdf = report.convergence_cdf(samples);
+            assert_eq!(cdf.len(), samples + 1);
+            assert_eq!(cdf[0].0, Duration::ZERO);
+            for pair in cdf.windows(2) {
+                assert!(
+                    pair[1].0 >= pair[0].0 && pair[1].1 >= pair[0].1,
+                    "round {round}"
+                );
+            }
+            assert_eq!(cdf.last().unwrap().1, 1.0, "round {round}");
+            let nodes = rng.gen_range(1..24usize);
+            report.convergence_times = (0..nodes)
+                .map(|_| Duration::from_nanos(rng.gen_range(0..1_000_000u64)))
+                .collect();
+        }
     }
 
     #[test]
@@ -2001,8 +2037,7 @@ mod tests {
                 signature: vec![0u8; 20],
             }],
         };
-        let forged = Message::new(NodeId(1), NodeId(0), MessageKind::Update, envelope.encode());
-        deployment.network.send(forged, 0);
+        deployment.inject_message(1, 0, envelope.encode());
         let report = deployment.run().unwrap();
         assert!(report.rejected_batches >= 1);
         assert!(!deployment
@@ -2102,8 +2137,15 @@ mod tests {
                 signature: Vec::new(),
             }],
         };
+        let sent_before = deployment.report().per_node_bytes[1];
         deployment.inject_message(1, 0, replay.encode());
-        deployment.run().unwrap();
+        let report = deployment.run().unwrap();
+        // The injected payload is charged to its claimed sender; the
+        // dropped replay causes no further traffic.
+        assert_eq!(
+            report.per_node_bytes[1],
+            sent_before + replay.encode().len() + secureblox_net::message::HEADER_OVERHEAD_BYTES
+        );
         assert!(
             !deployment
                 .query("n0", "remote_link")
@@ -2222,10 +2264,16 @@ mod tests {
             "a budget equal to the data-plane message count must suffice; \
              credit grants are control traffic",
         );
-        let stats = deployment.network.stats();
-        assert_eq!(stats.messages_for_kind(MessageKind::Update), 2);
+        let sent = |kind| -> usize {
+            deployment
+                .nodes
+                .iter()
+                .map(|node| node.stats.messages_of_kind(kind))
+                .sum()
+        };
+        assert_eq!(sent(MessageKind::Update), 2);
         assert!(
-            stats.messages_for_kind(MessageKind::Credit) >= 2,
+            sent(MessageKind::Credit) >= 2,
             "backpressure credits must actually have flowed for this test to bite"
         );
         assert_eq!(deployment.query("n0", "remote_link").len(), 1);
@@ -2256,10 +2304,34 @@ mod tests {
             reference_report.rejected_batches,
             reactor_report.rejected_batches
         );
+        // Each node records its own statistics under either executor, so
+        // the traffic and verdict figures agree exactly.
         assert_eq!(
-            reference_report.total_messages, reactor_report.total_messages,
-            "the reactor's per-task traffic shards must merge to the same totals"
+            reference_report.total_messages,
+            reactor_report.total_messages
         );
+        assert_eq!(
+            reference_report.per_node_bytes,
+            reactor_report.per_node_bytes
+        );
+        assert_eq!(
+            reference_report.total_transactions,
+            reactor_report.total_transactions
+        );
+        assert_eq!(
+            reference_report.retractions_applied,
+            reactor_report.retractions_applied
+        );
+        for kind in [MessageKind::Update, MessageKind::Credit] {
+            for (a, b) in reference.nodes.iter().zip(&reactor.nodes) {
+                assert_eq!(
+                    a.stats.messages_of_kind(kind),
+                    b.stats.messages_of_kind(kind),
+                    "{kind:?} messages from {}",
+                    a.info.principal
+                );
+            }
+        }
     }
 
     #[test]

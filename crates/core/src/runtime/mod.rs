@@ -9,6 +9,7 @@ pub mod engine;
 pub mod reactor;
 pub mod replication;
 pub mod shard;
+pub(crate) mod stats;
 pub mod stream;
 pub mod udfs;
 

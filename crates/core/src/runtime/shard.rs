@@ -96,23 +96,6 @@ pub fn slot_position(slot: i64) -> i64 {
     slot * (i64::MAX / SHARD_SLOTS)
 }
 
-/// Vnodes-per-member default (`SECUREBLOX_SHARD_VNODES`).
-fn env_vnodes() -> usize {
-    std::env::var("SECUREBLOX_SHARD_VNODES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(16)
-}
-
-/// Broadcast-threshold default (`SECUREBLOX_SHARD_BROADCAST_MAX`).
-fn env_broadcast_max() -> usize {
-    std::env::var("SECUREBLOX_SHARD_BROADCAST_MAX")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(64)
-}
-
 /// Declares which base relations are partitioned, on which column, across
 /// which group members.  Carried in [`DeploymentConfig::sharding`].
 #[derive(Debug, Clone)]
@@ -124,9 +107,10 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// A shard map over `group` (deployment principals).  Vnodes-per-member
-    /// and the broadcast threshold honour `SECUREBLOX_SHARD_VNODES` /
-    /// `SECUREBLOX_SHARD_BROADCAST_MAX`.
+    /// A shard map over `group` (deployment principals), with 16 virtual
+    /// ring points per member and relations of at most 64 tuples always
+    /// broadcast (see [`ShardMap::with_vnodes`] and
+    /// [`ShardMap::with_broadcast_max`]).
     pub fn new<I, S>(group: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -135,8 +119,8 @@ impl ShardMap {
         ShardMap {
             group: group.into_iter().map(Into::into).collect(),
             relations: BTreeMap::new(),
-            vnodes: env_vnodes(),
-            broadcast_max: env_broadcast_max(),
+            vnodes: 16,
+            broadcast_max: 64,
         }
     }
 
@@ -951,8 +935,7 @@ impl Deployment {
     }
 
     /// The shard section of the deployment report, publishing the
-    /// per-partition gauges as a side effect (mirroring how network stats
-    /// publish their per-node views).
+    /// per-partition gauges as a side effect.
     pub(crate) fn shard_report(&self) -> Option<ShardReport> {
         let map = self.config.sharding.as_ref().filter(|m| m.is_active())?;
         let registry = secureblox_telemetry::registry();

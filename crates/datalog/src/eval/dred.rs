@@ -352,9 +352,7 @@ mod tests {
         }
 
         fn contains(&self, pred: &str, tuple: &[Value]) -> bool {
-            self.relations
-                .get(pred)
-                .map_or(false, |r| r.contains(tuple))
+            self.relations.get(pred).is_some_and(|r| r.contains(tuple))
         }
     }
 

@@ -175,10 +175,9 @@ fn reference_closure(n: usize, edges: &BTreeSet<(usize, usize)>) -> BTreeSet<(us
     for k in 0..n {
         for i in 0..n {
             if reach[i][k] {
-                for j in 0..n {
-                    if reach[k][j] {
-                        reach[i][j] = true;
-                    }
+                let via = reach[k].clone();
+                for (cell, &r) in reach[i].iter_mut().zip(&via) {
+                    *cell |= r;
                 }
             }
         }

@@ -7,9 +7,9 @@
 //! **discrete-event network simulation**: nodes are identified by
 //! [`NodeId`]s, messages carry opaque byte payloads, a [`LatencyModel`]
 //! converts message sizes into propagation + transmission delays, and a
-//! [`SimNetwork`] priority queue delivers messages in virtual-time order
-//! while recording the per-node traffic statistics that the paper's Figures 6
-//! and 12 report.
+//! [`SimNetwork`] priority queue delivers messages in virtual-time order.
+//! The traffic statistics behind the paper's Figures 6 and 12 are recorded by
+//! each sending node in the `secureblox` runtime, not here.
 //!
 //! Compute time is *not* simulated: the distributed runtime in the
 //! `secureblox` crate measures the real wall-clock duration of each local
@@ -20,11 +20,9 @@
 pub mod message;
 pub mod node;
 pub mod sim;
-pub mod stats;
 pub mod topology;
 
 pub use message::{Message, MessageKind};
 pub use node::{NodeId, NodeInfo};
 pub use sim::{record_message_latency, LatencyModel, LinkLanes, SimNetwork, VirtualTime};
-pub use stats::{NetworkStats, NodeTraffic, TimingStats};
 pub use topology::Topology;

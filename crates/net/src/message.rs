@@ -7,8 +7,7 @@ use bytes::Bytes;
 ///
 /// The payload is opaque at this layer: the SecureBlox runtime serializes
 /// (and optionally signs and encrypts) batches of tuples into it.  `kind`
-/// distinguishes the logical channel (`says`, `anon_export`, …) purely for
-/// statistics and debugging.
+/// names the logical channel the receiver dispatches on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     pub from: NodeId,
@@ -28,8 +27,6 @@ pub enum MessageKind {
     AnonForward,
     /// An onion-wrapped anonymity-circuit cell travelling backward.
     AnonBackward,
-    /// Initial base-fact distribution (not counted as protocol overhead).
-    Bootstrap,
     /// A flow-control credit grant travelling from a receiver back to a
     /// sender: the payload is the number of update-stream deltas the receiver
     /// has drained from its per-link queue, returning that much send window
@@ -44,7 +41,6 @@ impl MessageKind {
             MessageKind::Update => "update",
             MessageKind::AnonForward => "anon_forward",
             MessageKind::AnonBackward => "anon_backward",
-            MessageKind::Bootstrap => "bootstrap",
             MessageKind::Credit => "credit",
         }
     }
@@ -99,7 +95,7 @@ mod tests {
     fn wire_size_includes_header() {
         let msg = Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![0u8; 100]);
         assert_eq!(msg.wire_size(), 100 + HEADER_OVERHEAD_BYTES);
-        let empty = Message::new(NodeId(0), NodeId(1), MessageKind::Bootstrap, Vec::new());
+        let empty = Message::new(NodeId(0), NodeId(1), MessageKind::Credit, Vec::new());
         assert_eq!(empty.wire_size(), HEADER_OVERHEAD_BYTES);
     }
 }

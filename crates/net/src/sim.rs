@@ -1,7 +1,6 @@
 //! Discrete-event message delivery with a virtual clock.
 
 use crate::message::Message;
-use crate::stats::NetworkStats;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Mutex;
@@ -59,14 +58,13 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The simulated network: a latency model, a delivery queue ordered by
-/// virtual time, and per-node traffic statistics.
+/// The simulated network: a latency model and a delivery queue ordered by
+/// virtual time.
 #[derive(Debug)]
 pub struct SimNetwork {
     latency: LatencyModel,
     queue: BinaryHeap<Reverse<Scheduled>>,
     sequence: u64,
-    stats: NetworkStats,
     /// Per-link delivery-time floors for [`SimNetwork::send_fifo`]: a stream
     /// message never arrives before its predecessor on the same (from, to)
     /// link, modelling a TCP-like ordered channel.
@@ -89,9 +87,6 @@ fn latency_histogram(
         }
         MessageKind::AnonBackward => {
             secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"anon_backward\"}")
-        }
-        MessageKind::Bootstrap => {
-            secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"bootstrap\"}")
         }
         MessageKind::Credit => {
             secureblox_telemetry::histogram!("net_message_latency_ns{kind=\"credit\"}")
@@ -174,19 +169,18 @@ impl LinkLanes {
 }
 
 impl SimNetwork {
-    /// Create a network with the given latency model for `nodes` nodes.
-    pub fn new(nodes: usize, latency: LatencyModel) -> Self {
+    /// Create a network with the given latency model.
+    pub fn new(latency: LatencyModel) -> Self {
         SimNetwork {
             latency,
             queue: BinaryHeap::new(),
             sequence: 0,
-            stats: NetworkStats::new(nodes),
             link_floor: HashMap::new(),
         }
     }
 
     /// Send a message at virtual time `now`; it will be delivered after the
-    /// modelled latency.  Traffic is recorded against both endpoints.
+    /// modelled latency.
     pub fn send(&mut self, message: Message, now: VirtualTime) -> VirtualTime {
         self.send_ordered(message, now, 0)
     }
@@ -203,10 +197,8 @@ impl SimNetwork {
         now: VirtualTime,
         floor: VirtualTime,
     ) -> VirtualTime {
-        let wire_size = message.wire_size();
-        let deliver_at = (now + self.latency.delay(wire_size).as_nanos() as u64).max(floor);
-        self.stats
-            .record_send(message.from, message.to, wire_size, message.kind);
+        let deliver_at =
+            (now + self.latency.delay(message.wire_size()).as_nanos() as u64).max(floor);
         // Modelled send-to-delivery latency (virtual ns), including any FIFO
         // floor wait, bucketed by message kind.
         latency_histogram(message.kind).record(deliver_at - now);
@@ -232,17 +224,6 @@ impl SimNetwork {
         delivered
     }
 
-    /// Schedule a message for delivery at an exact virtual time without
-    /// recording traffic (used for bootstrap fact distribution).
-    pub fn schedule_untracked(&mut self, message: Message, deliver_at: VirtualTime) {
-        self.sequence += 1;
-        self.queue.push(Reverse(Scheduled {
-            deliver_at,
-            sequence: self.sequence,
-            message,
-        }));
-    }
-
     /// Pop the next message in virtual-time order.
     pub fn next_delivery(&mut self) -> Option<(VirtualTime, Message)> {
         let delivery = self.queue.pop().map(|Reverse(s)| (s.deliver_at, s.message));
@@ -261,18 +242,6 @@ impl SimNetwork {
     /// the distributed-fixpoint condition.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Traffic statistics collected so far.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// Fold a per-task statistics shard (recorded outside this network by a
-    /// reactor sender) into this network's counters, so `stats()` reports the
-    /// whole deployment regardless of executor mode.
-    pub fn absorb_stats(&mut self, shard: &NetworkStats) {
-        self.stats.merge(shard);
     }
 
     /// The latency model in force.
@@ -296,7 +265,7 @@ mod tests {
 
     #[test]
     fn deliveries_come_out_in_time_order() {
-        let mut network = SimNetwork::new(3, LatencyModel::default());
+        let mut network = SimNetwork::new(LatencyModel::default());
         let a = Message::new(
             NodeId(0),
             NodeId(1),
@@ -317,7 +286,7 @@ mod tests {
 
     #[test]
     fn fifo_for_equal_times() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
+        let mut network = SimNetwork::new(LatencyModel::default());
         for i in 0..5u8 {
             network.send(
                 Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![i]),
@@ -333,7 +302,7 @@ mod tests {
 
     #[test]
     fn ordered_send_respects_the_floor() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
+        let mut network = SimNetwork::new(LatencyModel::default());
         // A huge message followed by a tiny one on the same link: with plain
         // send the tiny one would overtake; the floor keeps the stream FIFO.
         let big = Message::new(
@@ -354,7 +323,7 @@ mod tests {
 
     #[test]
     fn send_fifo_keeps_per_link_order_across_calls() {
-        let mut network = SimNetwork::new(3, LatencyModel::default());
+        let mut network = SimNetwork::new(LatencyModel::default());
         let big = Message::new(
             NodeId(0),
             NodeId(1),
@@ -373,19 +342,6 @@ mod tests {
         assert_eq!(first, other_link);
         let (_, second) = network.next_delivery().unwrap();
         assert_eq!(second, big);
-    }
-
-    #[test]
-    fn stats_track_bytes() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        network.send(
-            Message::new(NodeId(0), NodeId(1), MessageKind::Update, vec![0u8; 52]),
-            0,
-        );
-        let stats = network.stats();
-        assert_eq!(stats.node(NodeId(0)).bytes_sent, 100);
-        assert_eq!(stats.node(NodeId(1)).bytes_received, 100);
-        assert_eq!(stats.node(NodeId(0)).messages_sent, 1);
     }
 
     #[test]
@@ -420,46 +376,5 @@ mod tests {
         lanes.drain_to(1, &mut other);
         assert_eq!(other.len(), 1);
         assert!(lanes.is_empty());
-    }
-
-    #[test]
-    fn absorbed_shards_match_a_shared_recorder() {
-        // Record the same sends once through a shared recorder, once through
-        // two per-task shards merged afterwards: identical statistics.
-        let mut shared = NetworkStats::new(2);
-        shared.record_send(NodeId(0), NodeId(1), 100, MessageKind::Update);
-        shared.record_send(NodeId(1), NodeId(0), 40, MessageKind::Credit);
-
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        let mut shard_a = NetworkStats::new(2);
-        shard_a.record_send(NodeId(0), NodeId(1), 100, MessageKind::Update);
-        let mut shard_b = NetworkStats::new(2);
-        shard_b.record_send(NodeId(1), NodeId(0), 40, MessageKind::Credit);
-        network.absorb_stats(&shard_a);
-        network.absorb_stats(&shard_b);
-
-        let merged = network.stats();
-        assert_eq!(merged.node(NodeId(0)), shared.node(NodeId(0)));
-        assert_eq!(merged.node(NodeId(1)), shared.node(NodeId(1)));
-        assert_eq!(
-            merged.messages_for_kind(MessageKind::Credit),
-            shared.messages_for_kind(MessageKind::Credit)
-        );
-        assert_eq!(
-            merged.link(NodeId(0), NodeId(1)),
-            shared.link(NodeId(0), NodeId(1))
-        );
-    }
-
-    #[test]
-    fn untracked_schedule_skips_stats() {
-        let mut network = SimNetwork::new(2, LatencyModel::default());
-        network.schedule_untracked(
-            Message::new(NodeId(0), NodeId(1), MessageKind::Bootstrap, vec![0u8; 100]),
-            5,
-        );
-        assert_eq!(network.stats().total_bytes(), 0);
-        let (t, _) = network.next_delivery().unwrap();
-        assert_eq!(t, 5);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! The paper's whole evaluation (§8.1) is measurement — per-node bandwidth,
 //! transaction duration, fixpoint latency — and until this crate the repo's
-//! instrumentation was a scatter of ad-hoc counters (`PlanStats` in the
-//! engine, `NetworkStats` in the simulator) with no timing distributions and
-//! no event stream.  This crate gives every runtime crate one shared,
-//! zero-dependency observability substrate:
+//! instrumentation was a scatter of ad-hoc planner and traffic counters
+//! with no timing distributions and no event stream.  This crate gives every
+//! runtime crate one shared, zero-dependency observability substrate:
 //!
 //! * **Metrics** ([`metrics`]): a process-wide registry of named monotonic
 //!   [`Counter`]s, [`Gauge`]s, and fixed-bucket log₂-scale [`Histogram`]s
