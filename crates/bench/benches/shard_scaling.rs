@@ -122,8 +122,8 @@ fn run_sharded(n: usize, trial: usize) -> ShardedResult {
         ),
         // Default knobs, pinned so the environment cannot change the
         // measured schedule: exchange deltas coalesce into multi-delta
-        // envelopes and every delta applies through the seeded
-        // snapshot-free transaction.
+        // envelopes and every delta applies through its own seeded
+        // transaction.
         streaming: StreamingConfig::with_knobs(64, 256),
         durability: Some(DurabilityConfig::new(&dir)),
         ..DeploymentConfig::default()

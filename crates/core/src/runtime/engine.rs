@@ -949,7 +949,7 @@ impl NodeCtx<'_> {
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
     ) -> Result<bool> {
-        let committed = self.apply_transaction(batch, arrival, false)?;
+        let committed = self.apply_transaction(batch, arrival)?;
         if committed {
             let finish = self.node.available_at;
             self.flush_updates(finish)?;
@@ -963,17 +963,10 @@ impl NodeCtx<'_> {
     /// verdict.  Does NOT flush update streams — the caller decides when
     /// (per transaction in `process_batch` and circuit deliveries, once per
     /// delivered envelope on the update stream).
-    ///
-    /// `incremental` selects [`Workspace::transaction_incremental`], the
-    /// seeded snapshot-free path with identical verdicts; it requires a
-    /// converged workspace, which every update-stream drain has (the
-    /// bootstrap transaction at time zero converges each node, and every
-    /// later transaction or DRed retraction leaves a fixpoint).
     fn apply_transaction(
         &mut self,
         batch: Vec<(String, Tuple)>,
         arrival: VirtualTime,
-        incremental: bool,
     ) -> Result<bool> {
         let start_virtual = arrival.max(self.node.available_at);
         let started = Instant::now();
@@ -981,11 +974,7 @@ impl NodeCtx<'_> {
             Some(_) if !batch.is_empty() => Some(batch.clone()),
             _ => None,
         };
-        let outcome = if incremental {
-            self.node.workspace.transaction_incremental(batch)
-        } else {
-            self.node.workspace.transaction(batch)
-        };
+        let outcome = self.node.workspace.transaction(batch);
         let elapsed = started.elapsed();
         secureblox_telemetry::histogram!("engine_txn_apply_ns").record_duration(elapsed);
         let finish = start_virtual + elapsed.as_nanos() as u64;
@@ -1468,10 +1457,8 @@ impl NodeCtx<'_> {
 
     /// Apply one inbound update-stream envelope: decrypt, decode, drop stale
     /// duplicates, then apply its deltas in order, each with its own verdict
-    /// (paper semantics) — every `Assert` is its own ACID transaction (via
-    /// the seeded, snapshot-free [`Workspace::transaction_incremental`],
-    /// which commits and rolls back identically to
-    /// [`Workspace::transaction`]), every `Retract` is authorized and
+    /// (paper semantics) — every `Assert` is its own ACID
+    /// [`Workspace::transaction`], every `Retract` is authorized and
     /// DRed-applied individually.  What the envelope amortizes is
     /// *scheduling*, not semantics: one export flush per envelope instead of
     /// one per committed delta (flushes are idempotent — the `sent` cursor
@@ -1539,7 +1526,7 @@ impl NodeCtx<'_> {
                 DeltaOp::Assert => {
                     // The receiver's own constraints (signature verification,
                     // trust, write access) accept or roll back the delta.
-                    if self.apply_transaction(delta_batch(delta), arrival, true)? {
+                    if self.apply_transaction(delta_batch(delta), arrival)? {
                         accepted = true;
                         dirty = true;
                     }
@@ -1699,7 +1686,7 @@ impl NodeCtx<'_> {
             let op = delta.op;
             let batch = vec![fact_of(delta)];
             let changed = match op {
-                DeltaOp::Assert => self.apply_transaction(batch, arrival, false)?,
+                DeltaOp::Assert => self.apply_transaction(batch, arrival)?,
                 DeltaOp::Retract => self.apply_retraction(batch, arrival)?,
             };
             if changed {

@@ -1,6 +1,6 @@
 //! Batch-at-a-time rule execution over interned id columns.
 //!
-//! The tuple-at-a-time join in [`super::join`] materializes a [`Bindings`]
+//! The tuple-at-a-time join in [`super::join`] materializes a [`super::Bindings`]
 //! map per solution and compares [`crate::value::Value`]s at every probe.
 //! For the common rule shape — positive stored-relation literals with
 //! variable/constant terms and a head built from body variables — none of
@@ -11,10 +11,10 @@
 //!
 //! ## Two phases, one thread contract
 //!
-//! [`compile_batch`] runs **only on the evaluator thread**: it is the one
+//! `compile_batch` runs **only on the evaluator thread**: it is the one
 //! place the batch path interns (head constants), which keeps dictionary id
 //! assignment a pure function of the operation sequence — independent of
-//! the worker count ([`crate::intern`] module docs).  [`execute_batch`] is
+//! the worker count ([`crate::intern`] module docs).  `execute_batch` is
 //! read-only and safe to run from pool workers.
 //!
 //! ## Determinism

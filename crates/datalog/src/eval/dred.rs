@@ -59,6 +59,7 @@ impl<'a> Evaluator<'a> {
         for (pred, tuple) in base_deletions {
             if let Some(relation) = self.relations.get_mut(pred) {
                 if relation.remove(tuple) {
+                    self.journal.record_removed(pred, tuple.clone());
                     stats.base_deleted += 1;
                     deleted
                         .entry(pred.clone())
@@ -193,6 +194,7 @@ impl<'a> Evaluator<'a> {
                         }
                         if let Some(relation) = self.relations.get_mut(&head_pred) {
                             if relation.remove(&tuple) {
+                                self.journal.record_removed(&head_pred, tuple.clone());
                                 stats.over_deleted += 1;
                                 deleted
                                     .entry(head_pred.clone())
@@ -213,7 +215,7 @@ impl<'a> Evaluator<'a> {
         // 3. Re-derive: running the ordinary fixpoint over the remaining facts
         //    re-inserts every over-deleted tuple that still has a derivation.
         let before: usize = self.relations.values().map(|r| r.len()).sum();
-        self.run(rules, strata)?;
+        self.run(rules, strata, None)?;
         let after: usize = self.relations.values().map(|r| r.len()).sum();
         stats.rederived = after.saturating_sub(before);
         Ok(stats)
@@ -244,7 +246,7 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
     use crate::eval::plan::{PlanCache, PlanStats};
-    use crate::eval::EvalConfig;
+    use crate::eval::{EvalConfig, EvalJournal};
     use crate::intern::Interner;
     use crate::parser::parse_program;
     use crate::relation::Relation;
@@ -319,9 +321,9 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
-            evaluator.run(&self.rules, &self.strata).unwrap();
+            evaluator.run(&self.rules, &self.strata, None).unwrap();
         }
 
         fn delete(&mut self, pred: &str, tuple: Vec<Value>) -> DeletionStats {
@@ -337,7 +339,7 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
             // Keep the EDB bookkeeping in sync.
             self.edb.get_mut(pred).map(|set| set.remove(&tuple));

@@ -71,19 +71,22 @@ enum Derivation {
     Ids(Vec<(String, IdBatch)>),
 }
 
-/// Undo log of the mutations one fixpoint run performs, letting
-/// `Workspace::transaction_incremental` roll a failed transaction back
-/// without having cloned the full relation map.  Ops are recorded in
-/// execution order; undoing replays them in reverse — an `Added` op removes
-/// the tuple again, a `Displaced` op re-inserts the value an aggregate
-/// recomputation displaced.  Interleaving matters: one run can insert a
-/// tuple and later displace it (or displace, then re-insert), and only
-/// strict reverse-order replay restores the exact prior state.
+/// Undo log of the mutations one workspace transaction or retraction
+/// performs, letting `Workspace` roll a failed one back without having
+/// cloned the relation map.  Ops are recorded in execution order; undoing
+/// replays them in reverse — an `Added` op removes the tuple again, a
+/// `Removed` op re-inserts a tuple that an aggregate recomputation displaced
+/// or DRed deleted, and the `Edb*` ops do the same for the workspace's set
+/// of asserted facts.  Interleaving matters: one run can insert a tuple and
+/// later displace it (or displace, then re-insert), and only strict
+/// reverse-order replay restores the exact prior state.
 #[derive(Debug, Default)]
 pub struct EvalJournal {
     ops: Vec<JournalOp>,
     /// Relations created during the run, removed again on undo.
     created: Vec<String>,
+    /// EDB-set entries created during the run, removed again on undo.
+    edb_created: Vec<String>,
     /// Existential-memo keys minted during the run.
     minted: Vec<(usize, Vec<Value>)>,
 }
@@ -91,7 +94,9 @@ pub struct EvalJournal {
 #[derive(Debug)]
 enum JournalOp {
     Added(String, Tuple),
-    Displaced(String, Tuple),
+    Removed(String, Tuple),
+    EdbAdded(String, Tuple),
+    EdbRemoved(String, Tuple),
 }
 
 impl EvalJournal {
@@ -99,18 +104,31 @@ impl EvalJournal {
         self.ops.push(JournalOp::Added(pred.to_string(), tuple));
     }
 
-    pub(crate) fn record_displaced(&mut self, pred: &str, tuple: Tuple) {
-        self.ops.push(JournalOp::Displaced(pred.to_string(), tuple));
+    pub(crate) fn record_removed(&mut self, pred: &str, tuple: Tuple) {
+        self.ops.push(JournalOp::Removed(pred.to_string(), tuple));
     }
 
     pub(crate) fn record_created(&mut self, pred: &str) {
         self.created.push(pred.to_string());
     }
 
+    pub(crate) fn record_edb_added(&mut self, pred: &str, tuple: Tuple) {
+        self.ops.push(JournalOp::EdbAdded(pred.to_string(), tuple));
+    }
+
+    pub(crate) fn record_edb_removed(&mut self, pred: &str, tuple: Tuple) {
+        self.ops
+            .push(JournalOp::EdbRemoved(pred.to_string(), tuple));
+    }
+
+    pub(crate) fn record_edb_created(&mut self, pred: &str) {
+        self.edb_created.push(pred.to_string());
+    }
+
     /// The run's surviving additions per predicate: every tuple recorded as
     /// inserted that is still stored (an aggregate displacement can remove
     /// an earlier insertion).  This is the incremental constraint-check
-    /// delta — the same set a full-snapshot version diff would produce.
+    /// delta.
     pub fn added_delta(
         &self,
         relations: &HashMap<String, Relation>,
@@ -126,13 +144,14 @@ impl EvalJournal {
         delta
     }
 
-    /// Roll every journaled mutation back.  Restores the relations and the
-    /// existential memo to their exact pre-run state; the caller restores
-    /// the (plain-copy) entity counter itself.
+    /// Roll every journaled mutation back.  Restores the relations, the
+    /// EDB set and the existential memo to their exact pre-run state; the
+    /// caller restores the (plain-copy) entity counter itself.
     pub fn undo(
         self,
         relations: &mut HashMap<String, Relation>,
         existential_memo: &mut HashMap<(usize, Vec<Value>), u64>,
+        edb_facts: &mut HashMap<String, HashSet<Tuple>>,
     ) {
         for op in self.ops.into_iter().rev() {
             match op {
@@ -141,18 +160,29 @@ impl EvalJournal {
                         relation.remove(&tuple);
                     }
                 }
-                JournalOp::Displaced(pred, tuple) => {
-                    // The displacing tuple was journaled as `Added` after
-                    // this op, so reverse replay has already removed it;
-                    // re-inserting the displaced value cannot conflict.
+                JournalOp::Removed(pred, tuple) => {
+                    // Whatever took the tuple's place was journaled as
+                    // `Added` after this op, so reverse replay has already
+                    // removed it; re-inserting cannot conflict.
                     if let Some(relation) = relations.get_mut(&pred) {
                         let _ = relation.insert_or_replace(tuple);
                     }
+                }
+                JournalOp::EdbAdded(pred, tuple) => {
+                    if let Some(set) = edb_facts.get_mut(&pred) {
+                        set.remove(&tuple);
+                    }
+                }
+                JournalOp::EdbRemoved(pred, tuple) => {
+                    edb_facts.entry(pred).or_default().insert(tuple);
                 }
             }
         }
         for pred in self.created {
             relations.remove(&pred);
+        }
+        for pred in self.edb_created {
+            edb_facts.remove(&pred);
         }
         for key in self.minted {
             existential_memo.remove(&key);
@@ -183,62 +213,45 @@ pub struct Evaluator<'a> {
     /// Persistent worker pool for sharded and rule-level fan-out.  `None`
     /// keeps every execution on the calling thread.
     pub pool: Option<&'a WorkerPool>,
-    /// Undo log for incremental (snapshot-free) transactions.  `None` — the
-    /// default everywhere except [`Evaluator::run_seeded`] callers — records
-    /// nothing.
-    pub journal: Option<&'a mut EvalJournal>,
+    /// Undo log of every mutation, for rolling a failed workspace
+    /// transaction or retraction back.
+    pub journal: &'a mut EvalJournal,
 }
 
 impl<'a> Evaluator<'a> {
     /// Run all strata to fixpoint.  `strata` holds rule indices (into `rules`)
     /// grouped by stratum in evaluation order.
-    pub fn run(&mut self, rules: &[Rule], strata: &[Vec<usize>]) -> Result<FixpointStats> {
-        self.run_from(rules, strata, None)
-    }
-
-    /// Run all strata to fixpoint from a **converged** database, driving the
-    /// first round of each stratum off `seed` — the base tuples inserted
-    /// since the last fixpoint — instead of naïvely re-evaluating every rule.
     ///
-    /// From a converged state the naïve round is pure overhead: a rule
-    /// binding that touches no new tuple can only re-derive a tuple that is
-    /// already stored.  Restricting the first round to combinations with at
-    /// least one new-tuple literal therefore produces the same final state,
-    /// the same genuinely-new deltas, and the same verdicts as
-    /// [`Evaluator::run`], at cost proportional to the seed's consequences
-    /// rather than to the whole database.  The caller owns two
-    /// preconditions: the database is at fixpoint, and no rule negates a
-    /// predicate that can *shrink* between fixpoints — aggregate heads are
-    /// the only such predicates (displacement is the one non-monotone
-    /// mutation a committed transaction performs), which is what
-    /// `Workspace` gates on before choosing this entry point.
-    pub fn run_seeded(
+    /// Without `seed` every stratum's first round is naïve over the full
+    /// relations.  With it — the base tuples inserted since the last
+    /// fixpoint of a **converged** database — the first round of each
+    /// stratum is driven off those tuples instead.  From a converged state
+    /// the naïve round is pure overhead: a rule binding that touches no new
+    /// tuple can only re-derive a tuple that is already stored.  Restricting
+    /// the first round to combinations with at least one new-tuple literal
+    /// therefore produces the same final state, the same genuinely-new
+    /// deltas, and the same verdicts as the naïve round, at cost
+    /// proportional to the seed's consequences rather than to the whole
+    /// database.  The caller owns two preconditions: the database is at
+    /// fixpoint, and no rule negates a predicate that can *shrink* between
+    /// fixpoints — aggregate heads are the only such predicates
+    /// (displacement is the one non-monotone mutation a committed
+    /// transaction performs), which is what `Workspace` gates on before
+    /// passing a seed.
+    pub fn run(
         &mut self,
         rules: &[Rule],
         strata: &[Vec<usize>],
-        seed: &HashMap<String, HashSet<Tuple>>,
+        seed: Option<HashMap<String, HashSet<Tuple>>>,
     ) -> Result<FixpointStats> {
         // Everything new since the pre-transaction fixpoint: the seed plus
         // every tuple derived so far.  Later strata must see earlier strata's
         // additions as first-round drivers, so each stratum merges its deltas
         // back in.
-        let mut accumulated: HashMap<String, HashSet<Tuple>> = seed
-            .iter()
-            .filter(|(_, set)| !set.is_empty())
-            .map(|(pred, set)| (pred.clone(), set.clone()))
-            .collect();
-        self.run_from(rules, strata, Some(&mut accumulated))
-    }
-
-    fn run_from(
-        &mut self,
-        rules: &[Rule],
-        strata: &[Vec<usize>],
-        mut accumulated: Option<&mut HashMap<String, HashSet<Tuple>>>,
-    ) -> Result<FixpointStats> {
+        let mut accumulated = seed;
         let mut stats = FixpointStats::default();
         for stratum in strata {
-            let stratum_stats = self.run_stratum(rules, stratum, accumulated.as_deref_mut())?;
+            let stratum_stats = self.run_stratum(rules, stratum, accumulated.as_mut())?;
             stats.derived += stratum_stats.derived;
             stats.iterations += stratum_stats.iterations;
         }
@@ -247,8 +260,8 @@ impl<'a> Evaluator<'a> {
 
     /// One stratum (a set of mutually recursive rules) to fixpoint.  Without
     /// `accumulated` the first round is naïve over the full relations.  With
-    /// it — the tuples new since the last fixpoint, see
-    /// [`Evaluator::run_seeded`] — the first round runs only the
+    /// it — the tuples new since the last fixpoint, see [`Evaluator::run`]
+    /// — the first round runs only the
     /// `(rule, positive-literal)` combinations whose predicate has new
     /// tuples, and every round's delta merges back into it so later strata
     /// see this one's additions.  The semi-naïve rounds that follow are the
@@ -603,9 +616,7 @@ impl<'a> Evaluator<'a> {
         fresh.dedup();
         for key in fresh {
             *self.entity_counter += 1;
-            if let Some(journal) = self.journal.as_deref_mut() {
-                journal.minted.push(key.clone());
-            }
+            self.journal.minted.push(key.clone());
             self.existential_memo.insert(key, *self.entity_counter);
         }
 
@@ -706,9 +717,7 @@ impl<'a> Evaluator<'a> {
                         if relation.insert_ids(row)? {
                             inserted += 1;
                             let tuple = relation.interner().resolve_row(row);
-                            if let Some(journal) = self.journal.as_deref_mut() {
-                                journal.record_added(&pred, tuple.clone());
-                            }
+                            self.journal.record_added(&pred, tuple.clone());
                             delta.entry(pred.clone()).or_default().insert(tuple);
                         }
                     }
@@ -730,9 +739,7 @@ impl<'a> Evaluator<'a> {
             let relation = self.relation_entry(&pred);
             if relation.insert(tuple.clone())? {
                 inserted += 1;
-                if let Some(journal) = self.journal.as_deref_mut() {
-                    journal.record_added(&pred, tuple.clone());
-                }
+                self.journal.record_added(&pred, tuple.clone());
                 delta.entry(pred).or_default().insert(tuple);
             }
         }
@@ -750,18 +757,14 @@ impl<'a> Evaluator<'a> {
         for (pred, tuple) in derived {
             let relation = self.relation_entry(&pred);
             let (added, displaced) = relation.insert_or_replace_returning(tuple.clone())?;
-            if let Some(journal) = self.journal.as_deref_mut() {
-                // Displacement is journaled before the insertion that caused
-                // it — reverse replay then restores the displaced value after
-                // removing its replacement.
-                if let Some(old) = displaced {
-                    journal.record_displaced(&pred, old);
-                }
-                if added {
-                    journal.record_added(&pred, tuple.clone());
-                }
+            // Displacement is journaled before the insertion that caused it —
+            // reverse replay then restores the displaced value after removing
+            // its replacement.
+            if let Some(old) = displaced {
+                self.journal.record_removed(&pred, old);
             }
             if added {
+                self.journal.record_added(&pred, tuple.clone());
                 inserted += 1;
                 delta.entry(pred).or_default().insert(tuple);
             }
@@ -781,9 +784,7 @@ impl<'a> Evaluator<'a> {
                 pred.to_string(),
                 Relation::with_interner(pred, key_arity, Arc::clone(self.interner)),
             );
-            if let Some(journal) = self.journal.as_deref_mut() {
-                journal.record_created(pred);
-            }
+            self.journal.record_created(pred);
         }
         self.relations
             .get_mut(pred)
@@ -1113,9 +1114,9 @@ mod tests {
                 plan_stats: &self.plan_stats,
                 interner: &self.interner,
                 pool: None,
-                journal: None,
+                journal: &mut EvalJournal::default(),
             };
-            evaluator.run(&self.rules, &self.strata).unwrap()
+            evaluator.run(&self.rules, &self.strata, None).unwrap()
         }
 
         fn tuples(&self, pred: &str) -> Vec<Tuple> {
@@ -1269,7 +1270,7 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             pool: None,
-            journal: None,
+            journal: &mut EvalJournal::default(),
         };
         // Y is a head existential, so it actually mints an entity — that is
         // allowed.  A truly unsafe head would use an expression over unbound
@@ -1302,9 +1303,11 @@ mod tests {
             plan_stats: &fixture.plan_stats,
             interner: &fixture.interner,
             pool: None,
-            journal: None,
+            journal: &mut EvalJournal::default(),
         };
-        let err = evaluator.run(&fixture.rules, &fixture.strata).unwrap_err();
+        let err = evaluator
+            .run(&fixture.rules, &fixture.strata, None)
+            .unwrap_err();
         assert!(matches!(err, DatalogError::FixpointBudget { .. }));
     }
 }

@@ -171,9 +171,6 @@ pub struct Relation {
     fd_index: HashMap<u64, Vec<TupleId>, PassBuild>,
     /// Secondary indexes: signature → (hash of id projection → ids).
     indexes: HashMap<ColumnSet, HashMap<u64, Vec<TupleId>, PassBuild>>,
-    /// Bumped on every successful mutation (insert/remove/clear); lets the
-    /// transaction delta scan skip relations that provably did not change.
-    version: u64,
 }
 
 impl Default for Relation {
@@ -184,8 +181,8 @@ impl Default for Relation {
 
 /// Cloning preserves [`TupleId`]s, shares the interner and the `Arc`'d
 /// boundary rows, and drops the secondary indexes: they are rebuildable
-/// caches, and the clones the engine takes (transaction rollback snapshots,
-/// DRed's pre-deletion view) should not pay for copying them.  All other
+/// caches, and the clone the engine takes (DRed's pre-deletion view) should
+/// not pay for copying them.  All other
 /// state is integer vectors and integer-keyed maps, so a clone is a flat
 /// memcpy plus one refcount bump per tuple — no value is rehashed.
 impl Clone for Relation {
@@ -202,7 +199,6 @@ impl Clone for Relation {
             live: self.live.clone(),
             fd_index: self.fd_index.clone(),
             indexes: HashMap::new(),
-            version: self.version,
         }
     }
 }
@@ -233,7 +229,6 @@ impl Relation {
             live: HashMap::default(),
             fd_index: HashMap::default(),
             indexes: HashMap::new(),
-            version: 0,
         }
     }
 
@@ -250,12 +245,6 @@ impl Relation {
     /// The value dictionary this relation encodes against.
     pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
-    }
-
-    /// Mutation counter: unchanged version ⇒ unchanged contents (the
-    /// converse does not hold; a remove+reinsert bumps it twice).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of tuples.
@@ -522,7 +511,6 @@ impl Relation {
             }
         }
         self.len += 1;
-        self.version += 1;
     }
 
     /// Insert a tuple for a functional predicate, replacing any existing
@@ -621,7 +609,6 @@ impl Relation {
         };
         self.free.push(id);
         self.len -= 1;
-        self.version += 1;
     }
 
     /// Remove all tuples (and drop every index).
@@ -634,7 +621,6 @@ impl Relation {
         self.live.clear();
         self.fd_index.clear();
         self.indexes.clear();
-        self.version += 1;
     }
 
     /// Look up the dependent value for `key` in a functional predicate.
@@ -962,7 +948,6 @@ mod tests {
         assert_eq!(cloned.sorted(), rel.sorted());
         // The dictionary is shared, so id-space ops agree across clones.
         assert!(Arc::ptr_eq(rel.interner(), cloned.interner()));
-        assert_eq!(cloned.version(), rel.version());
     }
 
     #[test]
@@ -1023,21 +1008,6 @@ mod tests {
         for &id in candidates {
             assert_eq!(rel.tuple_by_id(id)[0], Value::Int(1));
         }
-    }
-
-    #[test]
-    fn version_tracks_mutations_only() {
-        let mut rel = Relation::new("edge", None);
-        let v0 = rel.version();
-        rel.insert(t(&[1, 2])).unwrap();
-        let v1 = rel.version();
-        assert_ne!(v0, v1);
-        rel.insert(t(&[1, 2])).unwrap(); // duplicate: no change
-        assert_eq!(rel.version(), v1);
-        rel.ensure_index(column_set([0])); // cache build: no change
-        assert_eq!(rel.version(), v1);
-        assert!(rel.remove(&t(&[1, 2])));
-        assert_ne!(rel.version(), v1);
     }
 
     #[test]

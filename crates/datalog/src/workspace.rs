@@ -15,7 +15,7 @@ use crate::constraint::{check_constraints_incremental_planned, check_constraints
 use crate::error::{DatalogError, Result};
 use crate::eval::dred::DeletionStats;
 use crate::eval::{
-    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, FixpointStats, PlanCache, PlanStats,
+    Bindings, EvalConfig, EvalJournal, EvalOptions, Evaluator, PlanCache, PlanStats,
     PlanStatsSnapshot, WorkerPool,
 };
 use crate::intern::Interner;
@@ -83,6 +83,13 @@ pub struct Workspace {
     /// derivations a delta-seeded first round never drives.  Recomputed on
     /// every program install.
     seedable: bool,
+    /// Whether the database is at fixpoint under the installed rules and
+    /// UDFs, so a transaction may seed its first round (see
+    /// [`Workspace::transaction`]).  Set by every committed transaction,
+    /// fixpoint and retraction; cleared by every mutation that bypasses the
+    /// rules (direct fact assertion, relation clearing, program install, UDF
+    /// registration); a rollback leaves it as it was.
+    converged: bool,
 }
 
 impl std::fmt::Debug for Workspace {
@@ -126,6 +133,7 @@ impl Workspace {
             interner: Arc::new(Interner::new()),
             pool: None,
             seedable: true,
+            converged: false,
         }
     }
 
@@ -144,7 +152,7 @@ impl Workspace {
     }
 
     /// Reconfigure the evaluation worker pool (see
-    /// [`EvalOptions`](crate::eval::EvalOptions)): `workers > 1` shards each
+    /// [`EvalOptions`]): `workers > 1` shards each
     /// stratum's driving tuple sets across scoped worker threads; `workers
     /// <= 1` keeps the serial path.  Takes effect from the next transaction.
     pub fn set_eval_options(&mut self, options: EvalOptions) {
@@ -186,6 +194,7 @@ impl Workspace {
 
     /// The UDF registry (mutable, for registering application functions).
     pub fn udfs_mut(&mut self) -> &mut UdfRegistry {
+        self.converged = false;
         &mut self.udfs
     }
 
@@ -197,6 +206,7 @@ impl Workspace {
             + Sync
             + 'static,
     {
+        self.converged = false;
         self.udfs.register(name, f);
     }
 
@@ -208,6 +218,7 @@ impl Workspace {
             + Sync
             + 'static,
     {
+        self.converged = false;
         self.udfs.register_family(family, f);
     }
 
@@ -230,6 +241,7 @@ impl Workspace {
                     .into(),
             ));
         }
+        self.converged = false;
         self.schema.absorb_program(program)?;
         if self.strict_typing {
             typecheck_program(program, &self.schema, &self.udfs)?;
@@ -241,7 +253,7 @@ impl Workspace {
                 Statement::Fact(fact) => {
                     let pred = crate::eval::runtime_pred_name(&fact.atom.pred)?;
                     let tuple = self.ground_terms(&fact.atom.terms)?;
-                    self.insert_edb(&pred, tuple)?;
+                    self.insert_edb(&pred, tuple, None)?;
                 }
                 Statement::GenericRule(_) | Statement::GenericConstraint(_) => unreachable!(),
             }
@@ -301,12 +313,14 @@ impl Workspace {
 
     /// Assert a single extensional fact (no fixpoint is run).
     pub fn assert_fact(&mut self, pred: &str, tuple: Tuple) -> Result<()> {
-        self.insert_edb(pred, tuple)
+        self.converged = false;
+        self.insert_edb(pred, tuple, None)
     }
 
     /// Set the value of a zero-key functional (singleton) predicate, e.g.
     /// `self[] = "n3"`.
     pub fn set_singleton(&mut self, pred: &str, value: Value) -> Result<()> {
+        self.converged = false;
         let relation = self
             .relations
             .entry(pred.to_string())
@@ -319,19 +333,43 @@ impl Workspace {
         Ok(())
     }
 
-    fn insert_edb(&mut self, pred: &str, tuple: Tuple) -> Result<()> {
-        let key_arity = self.schema.get(pred).and_then(|decl| match decl.kind {
-            PredicateKind::Functional { key_arity } => Some(key_arity),
-            PredicateKind::Relation => None,
-        });
-        let relation = self.relations.entry(pred.to_string()).or_insert_with(|| {
-            Relation::with_interner(pred, key_arity, Arc::clone(&self.interner))
-        });
-        relation.insert(tuple.clone())?;
-        self.edb_facts
-            .entry(pred.to_string())
-            .or_default()
-            .insert(tuple);
+    /// Insert an extensional fact into its relation and the EDB set,
+    /// recording every change in `journal` inside a transaction.
+    fn insert_edb(
+        &mut self,
+        pred: &str,
+        tuple: Tuple,
+        mut journal: Option<&mut EvalJournal>,
+    ) -> Result<()> {
+        if !self.relations.contains_key(pred) {
+            let key_arity = self.schema.get(pred).and_then(|decl| match decl.kind {
+                PredicateKind::Functional { key_arity } => Some(key_arity),
+                PredicateKind::Relation => None,
+            });
+            let relation = Relation::with_interner(pred, key_arity, Arc::clone(&self.interner));
+            self.relations.insert(pred.to_string(), relation);
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.record_created(pred);
+            }
+        }
+        let relation = self.relations.get_mut(pred).expect("relation just ensured");
+        if relation.insert(tuple.clone())? {
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.record_added(pred, tuple.clone());
+            }
+        }
+        if !self.edb_facts.contains_key(pred) {
+            self.edb_facts.insert(pred.to_string(), HashSet::new());
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.record_edb_created(pred);
+            }
+        }
+        let edb = self.edb_facts.get_mut(pred).expect("EDB set just ensured");
+        if edb.insert(tuple.clone()) {
+            if let Some(journal) = journal {
+                journal.record_edb_added(pred, tuple);
+            }
+        }
         Ok(())
     }
 
@@ -394,6 +432,7 @@ impl Workspace {
     /// Remove every tuple of a predicate without touching derived data (used
     /// for transient outbox predicates such as `export`).
     pub fn clear_relation(&mut self, pred: &str) {
+        self.converged = false;
         if let Some(relation) = self.relations.get_mut(pred) {
             relation.clear();
         }
@@ -401,24 +440,37 @@ impl Workspace {
     }
 
     /// Run installed rules to fixpoint and check all constraints, without
-    /// inserting new facts.  Rolls back on violation.
+    /// inserting new facts.  Rolls back on violation.  Always a full
+    /// evaluation: every stratum's first round is naïve, even on a
+    /// converged workspace.
     pub fn fixpoint(&mut self) -> Result<TransactionReport> {
-        self.transaction(Vec::new())
+        self.commit(Vec::new(), false)
     }
 
     /// Process a batch of incoming facts inside a local ACID transaction:
     /// insert the facts, run the installed rules to fixpoint, check every
     /// constraint, and either commit or roll the whole batch back.
+    ///
+    /// On a converged workspace whose program is seedable (see the
+    /// `converged` and `seedable` fields) the fixpoint is *seeded* with the
+    /// batch's new base tuples instead of naïvely re-evaluating every rule,
+    /// so the cost follows the batch's consequences rather than the size of
+    /// the database.  Verdicts and the resulting database, head-existential
+    /// entity ordinals included, are the same either way.  Every mutation is
+    /// journaled, and a constraint violation or FD conflict rolls back by
+    /// reverse-replaying the journal.
     pub fn transaction(&mut self, batch: Vec<(String, Tuple)>) -> Result<TransactionReport> {
-        let start = Instant::now();
-        let snapshot_relations = self.relations.clone();
-        let snapshot_edb = self.edb_facts.clone();
-        let snapshot_counter = self.entity_counter;
-        let snapshot_memo = self.existential_memo.clone();
+        let seeded = self.converged && self.seedable;
+        self.commit(batch, seeded)
+    }
 
-        let result = self.transaction_inner(batch, &snapshot_relations);
-        match result {
+    fn commit(&mut self, batch: Vec<(String, Tuple)>, seeded: bool) -> Result<TransactionReport> {
+        let start = Instant::now();
+        let entity_counter = self.entity_counter;
+        let mut journal = EvalJournal::default();
+        match self.commit_inner(batch, seeded, &mut journal) {
             Ok(mut report) => {
+                self.converged = true;
                 report.duration = start.elapsed();
                 secureblox_telemetry::histogram!("datalog_fixpoint_ns")
                     .record_duration(report.duration);
@@ -427,45 +479,35 @@ impl Workspace {
                 Ok(report)
             }
             Err(error) => {
-                self.relations = snapshot_relations;
-                self.edb_facts = snapshot_edb;
-                self.entity_counter = snapshot_counter;
-                self.existential_memo = snapshot_memo;
+                self.roll_back(journal, entity_counter);
                 Err(error)
             }
         }
     }
 
-    fn transaction_inner(
+    fn commit_inner(
         &mut self,
         batch: Vec<(String, Tuple)>,
-        snapshot: &HashMap<String, Relation>,
+        seeded: bool,
+        journal: &mut EvalJournal,
     ) -> Result<TransactionReport> {
-        let mut report = TransactionReport::default();
+        let mut report = TransactionReport {
+            inserted: batch.len(),
+            ..TransactionReport::default()
+        };
         for (pred, tuple) in batch {
-            self.insert_edb(&pred, tuple)?;
-            report.inserted += 1;
+            self.insert_edb(&pred, tuple, Some(&mut *journal))?;
         }
-        let stats = self.run_rules()?;
+        // So far the journal holds exactly the batch's new base tuples.
+        let seed = seeded.then(|| journal.added_delta(&self.relations));
+        let stats = self.evaluate(journal, |evaluator, rules, strata, _| {
+            evaluator.run(rules, strata, seed)
+        })?;
         report.derived = stats.derived;
         report.iterations = stats.iterations;
         // Incremental constraint checking over the tuples this transaction
         // added (paper §2: constraints are checked for every new fact).
-        let mut delta: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        for (pred, relation) in &self.relations {
-            let before = snapshot.get(pred);
-            // Mutation counters make untouched relations free to skip — on
-            // converged fixpoints this reduces the delta scan to nothing.
-            if before.is_some_and(|r| r.version() == relation.version()) {
-                continue;
-            }
-            for tuple in relation.iter() {
-                if before.is_none_or(|r| !r.contains(tuple)) {
-                    delta.entry(pred.clone()).or_default().insert(tuple.clone());
-                }
-            }
-        }
-        self.ensure_pool();
+        let delta = journal.added_delta(&self.relations);
         let pool = self.pool.clone();
         check_constraints_incremental_planned(
             &self.constraints,
@@ -478,6 +520,18 @@ impl Workspace {
             pool.as_deref(),
         )?;
         Ok(report)
+    }
+
+    /// Undo a failed `transaction` or `retract`: reverse-replay its journal
+    /// and restore the entity counter it saved.  `converged` needs no
+    /// restoring, since only a commit changes it.
+    fn roll_back(&mut self, journal: EvalJournal, entity_counter: u64) {
+        journal.undo(
+            &mut self.relations,
+            &mut self.existential_memo,
+            &mut self.edb_facts,
+        );
+        self.entity_counter = entity_counter;
     }
 
     /// Lazily (re)create the persistent worker pool to match the configured
@@ -493,33 +547,19 @@ impl Workspace {
         }
     }
 
-    fn run_rules(&mut self) -> Result<FixpointStats> {
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        let mut evaluator = Evaluator {
-            relations: &mut self.relations,
-            schema: &self.schema,
-            udfs: &self.udfs,
-            config: &self.config,
-            entity_counter: &mut self.entity_counter,
-            existential_memo: &mut self.existential_memo,
-            plan_cache: &mut self.plan_cache,
-            plan_stats: &self.plan_stats,
-            interner: &self.interner,
-            pool: pool.as_deref(),
-            journal: None,
-        };
-        evaluator.run(&self.rules, &self.strata)
-    }
-
-    /// Run the installed rules from a converged state, driving the first
-    /// semi-naïve round with `seed` (this transaction's new base tuples) and
-    /// journaling every mutation for snapshot-free rollback.
-    fn run_rules_seeded(
+    /// Run `f` on an evaluator over this workspace that records every
+    /// mutation in `journal`.  `f` also gets the installed rules and strata
+    /// and the EDB set, which the evaluator does not borrow.
+    fn evaluate<T>(
         &mut self,
-        seed: &HashMap<String, HashSet<Tuple>>,
         journal: &mut EvalJournal,
-    ) -> Result<FixpointStats> {
+        f: impl FnOnce(
+            &mut Evaluator<'_>,
+            &[Rule],
+            &[Vec<usize>],
+            &HashMap<String, HashSet<Tuple>>,
+        ) -> Result<T>,
+    ) -> Result<T> {
         self.ensure_pool();
         let pool = self.pool.clone();
         let mut evaluator = Evaluator {
@@ -533,9 +573,9 @@ impl Workspace {
             plan_stats: &self.plan_stats,
             interner: &self.interner,
             pool: pool.as_deref(),
-            journal: Some(journal),
+            journal,
         };
-        evaluator.run_seeded(&self.rules, &self.strata, seed)
+        f(&mut evaluator, &self.rules, &self.strata, &self.edb_facts)
     }
 
     /// Planner and index counters accumulated by this workspace.
@@ -550,173 +590,50 @@ impl Workspace {
 
     /// Retract base facts and incrementally maintain derived relations with
     /// DRed.  Constraints are re-checked afterwards; a violation rolls the
-    /// whole retraction back.
+    /// whole retraction back through the journal, minted entities included.
     pub fn retract(&mut self, batch: Vec<(String, Tuple)>) -> Result<DeletionStats> {
         let timer = secureblox_telemetry::histogram!("datalog_retract_ns").start_timer();
-        let snapshot_relations = self.relations.clone();
-        let snapshot_edb = self.edb_facts.clone();
-
+        let entity_counter = self.entity_counter;
+        let mut journal = EvalJournal::default();
         for (pred, tuple) in &batch {
-            if let Some(set) = self.edb_facts.get_mut(pred) {
-                set.remove(tuple);
+            if self
+                .edb_facts
+                .get_mut(pred)
+                .is_some_and(|set| set.remove(tuple))
+            {
+                journal.record_edb_removed(pred, tuple.clone());
             }
         }
-        let edb = self.edb_facts.clone();
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        let stats = {
-            let mut evaluator = Evaluator {
-                relations: &mut self.relations,
-                schema: &self.schema,
-                udfs: &self.udfs,
-                config: &self.config,
-                entity_counter: &mut self.entity_counter,
-                existential_memo: &mut self.existential_memo,
-                plan_cache: &mut self.plan_cache,
-                plan_stats: &self.plan_stats,
-                interner: &self.interner,
-                pool: pool.as_deref(),
-                journal: None,
-            };
-            evaluator.delete_with_dred(&self.rules, &self.strata, &batch, &edb)
-        };
-        let check = stats.and_then(|s| {
-            check_constraints_planned(
-                &self.constraints,
-                &mut self.relations,
-                &self.udfs,
-                &mut self.plan_cache,
-                &self.plan_stats,
-                &self.config.exec,
-                pool.as_deref(),
-            )
-            .map(|_| s)
-        });
-        match check {
-            Ok(stats) => Ok(stats),
+        let result = self
+            .evaluate(&mut journal, |evaluator, rules, strata, edb| {
+                evaluator.delete_with_dred(rules, strata, &batch, edb)
+            })
+            .and_then(|stats| {
+                let pool = self.pool.clone();
+                check_constraints_planned(
+                    &self.constraints,
+                    &mut self.relations,
+                    &self.udfs,
+                    &mut self.plan_cache,
+                    &self.plan_stats,
+                    &self.config.exec,
+                    pool.as_deref(),
+                )
+                .map(|()| stats)
+            });
+        match result {
+            Ok(stats) => {
+                // DRed re-derives through a full fixpoint, which it skips
+                // when nothing was deleted.
+                self.converged |= stats.base_deleted > 0;
+                Ok(stats)
+            }
             Err(error) => {
-                self.relations = snapshot_relations;
-                self.edb_facts = snapshot_edb;
+                self.roll_back(journal, entity_counter);
                 timer.cancel();
                 Err(error)
             }
         }
-    }
-
-    /// [`Workspace::transaction`] without the per-transaction snapshot clone
-    /// or the O(database) naive first round: the fixpoint is *seeded* with
-    /// this batch's new base tuples (valid only from a converged state — every
-    /// committed or rolled-back transaction and every DRed retraction leaves
-    /// one), and every mutation is journaled so a constraint violation or FD
-    /// conflict rolls back by reverse-replaying the journal.  Verdicts and
-    /// the resulting database are identical to [`Workspace::transaction`],
-    /// head-existential entity ordinals included; only the cost differs.
-    /// This is the update stream's per-delta apply step, keeping exact
-    /// per-delta acceptance semantics while a drained batch amortizes
-    /// flushes and scheduling.
-    ///
-    /// Programs where a negated literal reads an aggregate head are not
-    /// seedable (see `seedable`); those fall back to the snapshot path.
-    pub fn transaction_incremental(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-    ) -> Result<TransactionReport> {
-        if !self.seedable {
-            return self.transaction(batch);
-        }
-        let start = Instant::now();
-        let snapshot_counter = self.entity_counter;
-        let mut journal = EvalJournal::default();
-        let mut edb_added: Vec<(String, Tuple)> = Vec::new();
-        let mut edb_created: Vec<String> = Vec::new();
-        let result = self.transaction_incremental_inner(
-            batch,
-            &mut journal,
-            &mut edb_added,
-            &mut edb_created,
-        );
-        match result {
-            Ok(mut report) => {
-                report.duration = start.elapsed();
-                secureblox_telemetry::histogram!("datalog_fixpoint_ns")
-                    .record_duration(report.duration);
-                secureblox_telemetry::gauge!("datalog_intern_table_size")
-                    .set_max(self.interner.len() as i64);
-                Ok(report)
-            }
-            Err(error) => {
-                journal.undo(&mut self.relations, &mut self.existential_memo);
-                for (pred, tuple) in edb_added.iter().rev() {
-                    if let Some(set) = self.edb_facts.get_mut(pred) {
-                        set.remove(tuple);
-                    }
-                }
-                for pred in &edb_created {
-                    self.edb_facts.remove(pred);
-                }
-                self.entity_counter = snapshot_counter;
-                Err(error)
-            }
-        }
-    }
-
-    fn transaction_incremental_inner(
-        &mut self,
-        batch: Vec<(String, Tuple)>,
-        journal: &mut EvalJournal,
-        edb_added: &mut Vec<(String, Tuple)>,
-        edb_created: &mut Vec<String>,
-    ) -> Result<TransactionReport> {
-        let mut report = TransactionReport::default();
-        let mut seed: HashMap<String, HashSet<Tuple>> = HashMap::new();
-        for (pred, tuple) in batch {
-            let key_arity = self.schema.get(&pred).and_then(|decl| match decl.kind {
-                PredicateKind::Functional { key_arity } => Some(key_arity),
-                PredicateKind::Relation => None,
-            });
-            if !self.relations.contains_key(&pred) {
-                journal.record_created(&pred);
-            }
-            let relation = self.relations.entry(pred.clone()).or_insert_with(|| {
-                Relation::with_interner(&pred, key_arity, Arc::clone(&self.interner))
-            });
-            if relation.insert(tuple.clone())? {
-                journal.record_added(&pred, tuple.clone());
-                seed.entry(pred.clone()).or_default().insert(tuple.clone());
-            }
-            if !self.edb_facts.contains_key(&pred) {
-                edb_created.push(pred.clone());
-            }
-            if self
-                .edb_facts
-                .entry(pred.clone())
-                .or_default()
-                .insert(tuple.clone())
-            {
-                edb_added.push((pred, tuple));
-            }
-            report.inserted += 1;
-        }
-        let stats = self.run_rules_seeded(&seed, journal)?;
-        report.derived = stats.derived;
-        report.iterations = stats.iterations;
-        // Incremental constraint checking over this transaction's surviving
-        // additions — the journal yields the same delta a full-snapshot
-        // version diff would.
-        let delta = journal.added_delta(&self.relations);
-        self.ensure_pool();
-        let pool = self.pool.clone();
-        check_constraints_incremental_planned(
-            &self.constraints,
-            &mut self.relations,
-            &self.udfs,
-            &mut self.plan_cache,
-            &self.plan_stats,
-            &delta,
-            &self.config.exec,
-            pool.as_deref(),
-        )?;
-        Ok(report)
     }
 
     /// Names of all predicates with stored tuples (sorted, for diagnostics).
@@ -829,47 +746,91 @@ mod tests {
         assert_eq!(ws.query("owner"), vec![vec![s("k"), s("v1")]]);
     }
 
-    /// Drive the same delta sequence through `transaction` and
-    /// `transaction_incremental` on parallel workspaces, asserting identical
-    /// per-delta verdicts and identical databases after every step.
-    fn assert_incremental_matches(source: &str, batches: &[Vec<(String, Tuple)>]) {
+    /// Assert that two workspaces hold the same data: every relation, the
+    /// EDB set, the existential memo and the entity counter.
+    fn assert_same_data(a: &Workspace, b: &Workspace, context: &str) {
+        assert_eq!(
+            a.predicate_names(),
+            b.predicate_names(),
+            "{context}: predicate sets diverged"
+        );
+        for pred in a.predicate_names() {
+            assert_eq!(a.query(&pred), b.query(&pred), "{context}: {pred} diverged");
+        }
+        assert_eq!(a.edb_facts, b.edb_facts, "{context}: EDB sets diverged");
+        assert_eq!(
+            a.existential_memo, b.existential_memo,
+            "{context}: existential memos diverged"
+        );
+        assert_eq!(
+            a.entity_counter, b.entity_counter,
+            "{context}: entity counters diverged"
+        );
+    }
+
+    /// Whether one step inserts its facts or retracts them.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Op {
+        Insert,
+        Retract,
+    }
+
+    /// Drive the same step sequence through two workspaces: one seeds every
+    /// transaction off a converged state, the reference has `converged`
+    /// cleared before each call and so runs the full first round.  Asserts
+    /// identical per-step verdicts and identical data after every step, and
+    /// that every rejected step leaves the workspace as it found it.
+    fn assert_seeded_matches_full(source: &str, steps: &[(Op, Vec<(String, Tuple)>)]) {
         let mut full = Workspace::new();
+        full.set_strict_typing(false);
         full.install_source(source).unwrap();
         full.fixpoint().unwrap();
-        let mut inc = Workspace::new();
-        inc.install_source(source).unwrap();
-        inc.fixpoint().unwrap();
-        for (step, batch) in batches.iter().enumerate() {
-            let a = full.transaction(batch.clone());
-            let b = inc.transaction_incremental(batch.clone());
-            match (&a, &b) {
-                (Ok(ra), Ok(rb)) => assert_eq!(ra.inserted, rb.inserted, "step {step}"),
-                (Err(ea), Err(eb)) => assert_eq!(
-                    std::mem::discriminant(ea),
-                    std::mem::discriminant(eb),
-                    "step {step}: verdicts diverged ({ea} vs {eb})"
+        let mut seeded = full.clone();
+        assert!(seeded.converged && seeded.seedable);
+        for (step, (op, batch)) in steps.iter().enumerate() {
+            let context = format!("step {step} ({op:?} {batch:?})");
+            full.converged = false;
+            let (full_before, seeded_before) = (full.clone(), seeded.clone());
+            let (a, b) = match op {
+                Op::Insert => (
+                    full.transaction(batch.clone()).map(|r| r.inserted),
+                    seeded.transaction(batch.clone()).map(|r| r.inserted),
                 ),
-                _ => panic!("step {step}: verdicts diverged ({a:?} vs {b:?})"),
+                Op::Retract => (
+                    full.retract(batch.clone()).map(|r| r.base_deleted),
+                    seeded.retract(batch.clone()).map(|r| r.base_deleted),
+                ),
+            };
+            match (&a, &b) {
+                (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "{context}"),
+                (Err(ea), Err(eb)) => {
+                    assert_eq!(
+                        std::mem::discriminant(ea),
+                        std::mem::discriminant(eb),
+                        "{context}: verdicts diverged ({ea} vs {eb})"
+                    );
+                    assert_same_data(&full, &full_before, &format!("{context}, full rollback"));
+                    assert_same_data(
+                        &seeded,
+                        &seeded_before,
+                        &format!("{context}, seeded rollback"),
+                    );
+                    assert_eq!(full.converged, full_before.converged, "{context}");
+                    assert_eq!(seeded.converged, seeded_before.converged, "{context}");
+                }
+                _ => panic!("{context}: verdicts diverged ({a:?} vs {b:?})"),
             }
-            assert_eq!(
-                full.predicate_names(),
-                inc.predicate_names(),
-                "step {step}: predicate sets diverged"
-            );
-            for pred in full.predicate_names() {
-                assert_eq!(
-                    full.query(&pred),
-                    inc.query(&pred),
-                    "step {step}: {pred} diverged after {batch:?}"
-                );
-            }
+            assert_same_data(&full, &seeded, &context);
         }
     }
 
     /// Recursion over imported links behind a constraint that rejects a link
     /// until both endpoints are known principals: per-batch verdicts are
-    /// order-sensitive (a rejected link commits once its principals land).
-    const GUARDED_REACH: &str = "says_link(P, Q) -> principal(P), principal(Q).\n\
+    /// order-sensitive (a rejected link commits once its principals land),
+    /// and retracting a principal that a link still names is rejected after
+    /// DRed has over-deleted its `member` fact.
+    const GUARDED_REACH: &str = "says_link(P, Q) -> member(P), member(Q).\n\
+                                 member(X) <- principal(X).\n\
                                  link(X, Y) <- says_link(X, Y).\n\
                                  reach(X, Y) <- link(X, Y).\n\
                                  reach(X, Z) <- link(X, Y), reach(Y, Z).\n\
@@ -885,41 +846,56 @@ mod tests {
                               hop(X, Z) <- hop(X, Y), hop(Y, Z).\n\
                               cost[n0, n1] = 5.";
 
+    /// Head existentials behind negation and a constraint: retracting a
+    /// `blocked` fact re-derives (and mints) a `path` that the constraint
+    /// rejects unless its candidate is approved.
+    const GUARDED_TAGS: &str = "tag(P) -> .\n\
+                                tag(P), path(P, X) <- cand(X), !blocked(X).\n\
+                                path(P, X) -> approved(X).";
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// `transaction_incremental` — the update stream's receive-path
-        /// apply — reaches the same verdict and the same database as a full
-        /// `transaction` after every random insert batch.
+        /// A seeded `transaction` reaches the same verdict and the same data
+        /// as one with a full first round after every random insert batch or
+        /// retraction, and every rejected step rolls back exactly.
         #[test]
-        fn transaction_incremental_matches_transaction_on_random_batches(
-            program in 0u8..2,
+        fn seeded_transaction_matches_full_on_random_steps(
+            program in 0u8..3,
             steps in proptest::collection::vec(
-                proptest::collection::vec((0u8..3, 0u8..4, 0u8..4, 0i64..6), 1..4),
-                1..8,
+                (
+                    0u8..3,
+                    proptest::collection::vec((0u8..3, 0u8..3, 0u8..3, 0i64..6), 1..4),
+                ),
+                1..12,
             ),
         ) {
-            let cost_paths = program == 1;
             let node = |i: u8| s(&format!("n{i}"));
-            let batches: Vec<Vec<(String, Tuple)>> = steps
+            let steps: Vec<(Op, Vec<(String, Tuple)>)> = steps
                 .iter()
-                .map(|batch| {
-                    batch
+                .map(|(op, batch)| {
+                    let op = if *op == 0 { Op::Retract } else { Op::Insert };
+                    let batch = batch
                         .iter()
-                        .map(|&(kind, a, b, c)| match (cost_paths, kind) {
-                            (true, _) => ("cost".into(), vec![node(a % 3), node(b % 3), Value::Int(c)]),
-                            (false, 0) => ("principal".into(), vec![node(a)]),
-                            (false, _) => ("says_link".into(), vec![node(a), node(b)]),
+                        .map(|&(kind, a, b, c)| match (program, kind) {
+                            (0, 0) => ("principal".into(), vec![node(a)]),
+                            (0, _) => ("says_link".into(), vec![node(a), node(b)]),
+                            (1, _) => ("cost".into(), vec![node(a), node(b), Value::Int(c)]),
+                            (_, 0) => ("cand".into(), vec![node(a)]),
+                            (_, 1) => ("blocked".into(), vec![node(a)]),
+                            (_, _) => ("approved".into(), vec![node(a)]),
                         })
-                        .collect()
+                        .collect();
+                    (op, batch)
                 })
                 .collect();
-            assert_incremental_matches(if cost_paths { COST_PATHS } else { GUARDED_REACH }, &batches);
+            let source = [GUARDED_REACH, COST_PATHS, GUARDED_TAGS][program as usize];
+            assert_seeded_matches_full(source, &steps);
         }
     }
 
     #[test]
-    fn transaction_incremental_rollback_restores_exact_state() {
+    fn seeded_rollback_restores_exact_state() {
         let mut ws = Workspace::new();
         ws.install_source(
             "says_link(P, Q) -> principal(P), principal(Q).\n\
@@ -931,27 +907,32 @@ mod tests {
         )
         .unwrap();
         ws.fixpoint().unwrap();
-        let before_facts = ws.total_facts();
-        let before_links = ws.query("link");
+        assert!(ws.converged);
+        let before = ws.clone();
+        let indexes =
+            |ws: &Workspace| -> usize { ws.relations.values().map(|r| r.index_count()).sum() };
+        let before_indexes = indexes(&ws);
+        assert!(before_indexes > 0);
         let err = ws
-            .transaction_incremental(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
+            .transaction(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
             .unwrap_err();
         assert!(matches!(err, DatalogError::ConstraintViolation(_)));
-        assert_eq!(ws.total_facts(), before_facts);
-        assert_eq!(ws.query("link"), before_links);
-        assert_eq!(ws.count("says_link"), 1);
+        assert_same_data(&ws, &before, "rejected transaction");
+        assert!(ws.converged);
+        // The journal undoes tuples in place, so secondary indexes survive.
+        assert!(indexes(&ws) >= before_indexes);
         // And the workspace is still fully usable afterwards.
-        ws.transaction_incremental(vec![("principal".into(), vec![s("mallory")])])
+        ws.transaction(vec![("principal".into(), vec![s("mallory")])])
             .unwrap();
-        ws.transaction_incremental(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
+        ws.transaction(vec![("says_link".into(), vec![s("bob"), s("mallory")])])
             .unwrap();
         assert!(ws.contains_fact("reach", &[s("alice"), s("mallory")]));
     }
 
     #[test]
-    fn non_seedable_program_falls_back_to_snapshot_path() {
-        // Negation over an aggregate head: not seedable, must still be
-        // correct via the `transaction` fallback.
+    fn non_seedable_program_runs_the_full_first_round() {
+        // Negation over an aggregate head: not seedable, so every
+        // transaction runs the full first round.
         let source = "cost[X] = C -> string(X), int(C).\n\
                       best[] = C <- agg<< C = min(Cx) >> cost[_] = Cx.\n\
                       cheap(X) <- cost[X] = C, !best[] = _, C > 0.\n\
@@ -961,9 +942,76 @@ mod tests {
         ws.install_source(source).unwrap();
         assert!(!ws.seedable);
         ws.fixpoint().unwrap();
-        ws.transaction_incremental(vec![("cost".into(), vec![s("b"), Value::Int(2)])])
+        ws.transaction(vec![("cost".into(), vec![s("b"), Value::Int(2)])])
             .unwrap();
         assert_eq!(ws.singleton("best"), Some(Value::Int(2)));
+    }
+
+    #[test]
+    fn rejected_retraction_mints_no_entities() {
+        let source = "tag(P) -> .\n\
+                      tag(P), path(P, X) <- cand(X), !blocked(X).\n\
+                      path(P, X) -> approved(X).\n\
+                      cand(a). cand(b). blocked(a). blocked(b). approved(b).";
+        let mut ws = Workspace::new();
+        ws.set_strict_typing(false);
+        ws.install_source(source).unwrap();
+        ws.fixpoint().unwrap();
+        // What WAL replay sees: the rejected retraction never happened.
+        let mut replay = ws.clone();
+        let before = ws.clone();
+        // Unblocking `a` derives a path to an unapproved candidate.
+        let err = ws
+            .retract(vec![("blocked".into(), vec![s("a")])])
+            .unwrap_err();
+        assert!(matches!(err, DatalogError::ConstraintViolation(_)));
+        assert_same_data(&ws, &before, "rejected retraction");
+        for ws in [&mut ws, &mut replay] {
+            ws.retract(vec![("blocked".into(), vec![s("b")])]).unwrap();
+        }
+        assert_eq!(ws.query("path"), vec![vec![Value::Entity(1), s("b")]]);
+        assert_eq!(ws.query("path"), replay.query("path"));
+    }
+
+    #[test]
+    fn seeded_transaction_calls_a_rule_udf_per_new_fact() {
+        const N: usize = 1_000;
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = || calls.swap(0, std::sync::atomic::Ordering::SeqCst);
+        let mut ws = Workspace::with_config(EvalConfig {
+            exec: crate::eval::EvalOptions::serial(),
+            ..EvalConfig::default()
+        });
+        let counter = Arc::clone(&calls);
+        ws.register_udf("tick", move |args| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(vec![vec![crate::udf::require_bound(args, 0, "tick")?]])
+        });
+        ws.install_source("seen(X) <- item(X), tick(X).").unwrap();
+        for i in 0..N {
+            ws.assert_fact("item", vec![Value::Int(i as i64)]).unwrap();
+        }
+        ws.fixpoint().unwrap();
+        assert_eq!(ws.count("seen"), N);
+        count();
+        // On a converged workspace one new fact costs O(1) UDF calls…
+        ws.transaction(vec![("item".into(), vec![Value::Int(N as i64)])])
+            .unwrap();
+        assert_eq!(ws.count("seen"), N + 1);
+        assert_eq!(
+            count(),
+            1,
+            "a one-fact transaction must seed its first round"
+        );
+        // …while `fixpoint()` stays a full evaluation.
+        ws.fixpoint().unwrap();
+        assert_eq!(count(), N + 1, "fixpoint() must re-evaluate every rule");
+        // A direct assertion leaves the workspace unconverged, so the next
+        // transaction runs the full first round.
+        ws.assert_fact("item", vec![Value::Int(N as i64 + 1)])
+            .unwrap();
+        ws.transaction(Vec::new()).unwrap();
+        assert_eq!(count(), N + 2);
     }
 
     #[test]
